@@ -76,16 +76,6 @@ def _emap(n: int, e_minus=(), h=(), e_plus=()) -> DerivationMap:
     return tuple(rows)
 
 
-def case_delta(case_tag: str, n: int) -> Fraction:
-    if case_tag == CASE_DELTA_ONE:
-        return Fraction(1)
-    if case_tag == CASE_MINUS_TWO_OVER_N:
-        return Fraction(-2, n)
-    if case_tag in (CASE_TWO_OVER_N_PLUS_TWO, CASE_ONE_HALF):
-        return Fraction(2, n + 2)
-    raise ValueError(f"unknown case tag {case_tag!r}")
-
-
 def expected_sl2_basis(n: int, case_tag: str) -> list[DerivationMap]:
     """The explicit basis maps for one (n, case) cell of the table."""
     return list(expected_family(n, case_tag).basis)

@@ -94,6 +94,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+class _MatrixAtom(str):
+    """The name of an slN summand, keeping the natural module built with it."""
+
+    natural: Representation
+
+
 def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
     """Parse an algebra expression; returns the algebra and its atom list."""
     tokens = _tokenize(text)
@@ -112,7 +118,10 @@ def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
             if n == 2:
                 algebras.append(lie_core.sl2())
             elif n >= 3:
-                algebras.append(lie_core.sl_n(n)[0])
+                algebra, natural = lie_core.sl_n(n)
+                algebras.append(algebra)
+                value = _MatrixAtom(value)
+                value.natural = natural
             else:
                 raise SemanticError(f"{value!r}: matrix rank must be at least 2")
             parts.append(value)
@@ -145,6 +154,9 @@ def _module_atom(kind: str, value: str, part: str, algebra: LieAlgebra) -> Repre
                 f"'natural' needs a matrix algebra slN with N >= 3, not {part!r}; "
                 "over sl2 use V(1)"
             )
+        natural = getattr(part, "natural", None)
+        if natural is not None and natural.algebra is algebra:
+            return natural
         return lie_core.sl_n(int(part[2:]))[1]
     raise SemanticError(f"{value!r} cannot appear in a module descriptor")
 
@@ -189,7 +201,7 @@ def parse_module_descriptor(
                 raise SemanticError("'natural' needs a single matrix-algebra summand")
             part = parts[0] if len(parts) == 1 else None
             terms.append(_module_atom(kind, value, part, algebra))
-            term_texts.append(_canonical_atom(kind, value))
+            term_texts.append(value)
         else:
             if len(factors) != len(parts):
                 raise SemanticError(
@@ -205,7 +217,7 @@ def parse_module_descriptor(
             if built.algebra != algebra:
                 raise SemanticError("tensor term does not assemble over the given algebra")
             terms.append(built)
-            term_texts.append(" (x) ".join(_canonical_atom(k, v) for k, v, _ in factors))
+            term_texts.append(" (x) ".join(v for _, v, _ in factors))
         if i >= len(tokens):
             break
         kind, value, pos = tokens[i]
@@ -214,14 +226,6 @@ def parse_module_descriptor(
         i += 1
     module = terms[0] if len(terms) == 1 else lie_core.direct_sum_modules(terms)
     return module, " o+ ".join(term_texts)
-
-
-def _canonical_atom(kind: str, value: str) -> str:
-    return value
-
-
-def canonical_algebra_descriptor(parts: list[str]) -> str:
-    return " o+ ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +258,50 @@ def module_to_json(rep: Representation) -> dict:
     return out
 
 
-def algebra_from_json(data: dict) -> LieAlgebra:
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise SemanticError(f"malformed input: {what}")
+
+
+def _integer(x) -> int:
+    _require(type(x) is int or isinstance(x, str), f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _lists(value, length=None) -> bool:
+    """Whether value is a list of lists, each of the given length if one is given."""
+    return isinstance(value, list) and all(
+        isinstance(x, list) and length in (None, len(x)) for x in value
+    )
+
+
+def algebra_from_json(data) -> LieAlgebra:
+    _require(isinstance(data, dict) and "dim" in data, "'algebra' must be an object with 'dim'")
+    dim, labels, summands = _integer(data["dim"]), data.get("labels"), data.get("summands")
+    _require(_lists(data.get("brackets"), 4), "'brackets' must be a list of [i, j, k, c] entries")
+    _require(labels is None or isinstance(labels, list) and len(labels) == dim
+             and all(isinstance(x, str) for x in labels), f"'labels' must be {dim} strings")
+    if summands is not None:
+        _require(_lists(summands, 2), "'summands' must be a list of [start, end] pairs")
+        summands = [(_integer(a), _integer(b)) for a, b in summands]
+        _require(all(0 <= a <= b <= dim for a, b in summands), "'summands' out of range")
     entries = [
-        (int(i), int(j), int(k), parse_rational(str(c))) for i, j, k, c in data["brackets"]
+        (_integer(i), _integer(j), _integer(k), parse_rational(str(c)))
+        for i, j, k, c in data["brackets"]
     ]
     return lie_core.algebra_from_structure_constants(
-        int(data["dim"]),
-        entries,
-        labels=data.get("labels"),
-        summand_boundaries=data.get("summands"),
+        dim, entries, labels=labels, summand_boundaries=summands
     )
 
 
-def module_from_json(data: dict, algebra: LieAlgebra) -> Representation:
-    matrices = [
-        [[parse_rational(str(x)) for x in row] for row in mat] for mat in data["action"]
-    ]
-    return lie_core.representation_from_action(
-        algebra, matrices, weights=data.get("weights")
-    )
+def module_from_json(data, algebra: LieAlgebra) -> Representation:
+    _require(isinstance(data, dict) and isinstance(data.get("action"), list)
+             and all(_lists(m) for m in data["action"]),
+             "'action' must be a list of matrices given as lists of rows")
+    weights = data.get("weights")
+    _require(weights is None or isinstance(weights, list), "'weights' must be a list")
+    matrices = [[[parse_rational(str(x)) for x in row] for row in m] for m in data["action"]]
+    return lie_core.representation_from_action(algebra, matrices, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +394,7 @@ def _load_inputs(job: JobSpec) -> tuple[LieAlgebra, Representation, dict]:
             raise SemanticError("give either --input or descriptor flags, not both")
         with open(job.input_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if "algebra" not in data or "module" not in data:
+        if not isinstance(data, dict) or "algebra" not in data or "module" not in data:
             raise SemanticError("input file needs 'algebra' and 'module' entries")
         algebra = algebra_from_json(data["algebra"])
         module = module_from_json(data["module"], algebra)
@@ -374,7 +403,7 @@ def _load_inputs(job: JobSpec) -> tuple[LieAlgebra, Representation, dict]:
         raise SemanticError("both --algebra and --module are required")
     algebra, parts = parse_algebra_descriptor(job.algebra)
     module, canonical_module = parse_module_descriptor(job.module, algebra, parts)
-    meta["algebra_descriptor"] = canonical_algebra_descriptor(parts)
+    meta["algebra_descriptor"] = " o+ ".join(parts)
     meta["module_descriptor"] = canonical_module
     return algebra, module, meta
 
@@ -494,24 +523,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_jobspec(argv: list[str]) -> JobSpec:
-    args = _build_parser().parse_args(_merge_negative_values(argv))
-    job = JobSpec(command=args.command)
-    for field in (
-        "algebra",
-        "module",
-        "input_path",
-        "output_path",
-        "fmt",
-        "grading_element",
-        "include_zero",
-        "max_n",
-    ):
-        if hasattr(args, field):
-            setattr(job, field, getattr(args, field))
+    job = JobSpec(**vars(_build_parser().parse_args(_merge_negative_values(argv))))
     if job.command == "solve":
-        if args.delta is None:
+        if job.delta is None:
             raise SemanticError("solve requires --delta")
-        job.delta = parse_rational(args.delta)
+        job.delta = parse_rational(job.delta)
     if job.command == "verify" and job.max_n < 1:
         raise SemanticError("--max-n must be at least 1")
     return job

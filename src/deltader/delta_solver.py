@@ -23,6 +23,7 @@ defining equation by code independent of the elimination.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -32,6 +33,7 @@ from .lie_core import (
     AlgebraMismatch,
     LieAlgebra,
     Representation,
+    sparse_rows,
     weight_decomposition,
 )
 from .linalg import (
@@ -39,7 +41,6 @@ from .linalg import (
     canonical_basis,
     nullspace_bareiss,
     pencil_eliminate,
-    rref,
 )
 
 
@@ -56,25 +57,41 @@ DerivationMap = tuple[tuple[Fraction, ...], ...]  # dim rows of dim_v coordinate
 
 @dataclass(frozen=True)
 class DerivationSystem:
-    """The pencil A + d*B of the twisted-derivation equations."""
+    """The pencil A + d*B of the twisted-derivation equations, stored sparsely.
+
+    ``a_part[r]`` and ``b_part[r]`` map the columns of the nonzero entries
+    of row r of A and of B to their coefficients (read-only).  Each row is
+    scaled by the lcm of the denominators of its entries in A and B, so the
+    coefficients are integers; scaling a row changes no solution.
+    """
 
     algebra: LieAlgebra
     module: Representation
     rows: int
     cols: int
     pairs: tuple[tuple[int, int], ...]
-    a_part: tuple  # rows x cols, constant coefficients
-    b_part: tuple  # rows x cols, coefficients of d
+    a_part: tuple[dict[int, int], ...]  # the constant coefficients
+    b_part: tuple[dict[int, int], ...]  # the coefficients of d
 
-    def entry(self, r: int, c: int) -> Poly:
-        return Poly([self.a_part[r][c], self.b_part[r][c]])
+    def specialize(self, delta) -> list[dict[int, int]]:
+        """Rows of A + d*B at d = p/q as ``{column: entry}`` maps of nonzeros.
 
-    def specialize(self, delta: Fraction) -> list[Vec]:
+        Each row comes out multiplied by q (and by its scale), so entries
+        stay integers: one multiply-add per stored coefficient.
+        """
         d = Fraction(delta)
-        return [
-            [a + d * b for a, b in zip(arow, brow)]
-            for arow, brow in zip(self.a_part, self.b_part)
-        ]
+        p, q = d.numerator, d.denominator
+        out = []
+        for arow, brow in zip(self.a_part, self.b_part):
+            row = {c: q * a for c, a in arow.items()}
+            for c, b in brow.items():
+                x = row.get(c, 0) + p * b
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+            out.append(row)
+        return out
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,7 @@ def vector_to_map(v, dim: int, dim_v: int) -> DerivationMap:
 
 
 def assemble_system(L: LieAlgebra, V: Representation) -> DerivationSystem:
-    """Build the equation pencil for (L, V).
+    """Build the equation pencil for (L, V) from the nonzero constants and actions.
 
     For each pair i < j the block of dim_v rows expresses
     sum_k c_ij^k D(e_k) + d * rho(e_j) D(e_i) - d * rho(e_i) D(e_j) = 0.
@@ -130,31 +147,27 @@ def assemble_system(L: LieAlgebra, V: Representation) -> DerivationSystem:
         raise AlgebraMismatch("module is not a representation of this algebra")
     dim, dim_v = L.dim, V.dim_v
     pairs = tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
-    rows = len(pairs) * dim_v
-    cols = dim * dim_v
-    a_part = [[Fraction(0)] * cols for _ in range(rows)]
-    b_part = [[Fraction(0)] * cols for _ in range(rows)]
-    for p, (i, j) in enumerate(pairs):
-        base = p * dim_v
-        for k, c in L.structure.get((i, j), ()):
-            for r in range(dim_v):
-                a_part[base + r][k * dim_v + r] += c
-        rho_i = V.action[i]
-        rho_j = V.action[j]
+    action = [sparse_rows(m) for m in V.action]
+    a_part = []
+    b_part = []
+    for i, j in pairs:
+        terms = L.structure.get((i, j), ())
         for r in range(dim_v):
-            for m in range(dim_v):
-                if rho_j[r][m]:
-                    b_part[base + r][i * dim_v + m] += rho_j[r][m]
-                if rho_i[r][m]:
-                    b_part[base + r][j * dim_v + m] -= rho_i[r][m]
+            a = {k * dim_v + r: c for k, c in terms}
+            b = {i * dim_v + m: x for m, x in action[j][r].items()}
+            for m, x in action[i][r].items():
+                b[j * dim_v + m] = -x
+            den = lcm(*(x.denominator for part in (a, b) for x in part.values()))
+            a_part.append({c: x.numerator * (den // x.denominator) for c, x in a.items()})
+            b_part.append({c: x.numerator * (den // x.denominator) for c, x in b.items()})
     return DerivationSystem(
         algebra=L,
         module=V,
-        rows=rows,
-        cols=cols,
+        rows=len(pairs) * dim_v,
+        cols=dim * dim_v,
         pairs=pairs,
-        a_part=tuple(tuple(r) for r in a_part),
-        b_part=tuple(tuple(r) for r in b_part),
+        a_part=tuple(a_part),
+        b_part=tuple(b_part),
     )
 
 
@@ -168,18 +181,26 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
     dim, dim_v = L.dim, V.dim_v
     if len(D) != dim or any(len(row) != dim_v for row in D):
         raise ShapeMismatch(f"map must be {dim} x {dim_v}")
+    # columns[a][m]: the nonzero coordinates (r, x) of d * (e_a . v_m)
+    columns = [[[] for _ in range(dim_v)] for _ in range(dim)]
+    for a, mat in enumerate(V.action):
+        for r, row in enumerate(mat):
+            for m, x in enumerate(row):
+                if x:
+                    columns[a][m].append((r, delta * x))
+    images = [[(m, x) for m, x in enumerate(row) if x] for row in D]
     for i in range(dim):
         for j in range(i + 1, dim):
-            bracket = L.bracket_basis(i, j)
             residual = [Fraction(0)] * dim_v
-            for k, c in enumerate(bracket):
-                if c:
-                    for r in range(dim_v):
-                        residual[r] += c * D[k][r]
-            i_on_dj = V.act(i, list(D[j]))
-            j_on_di = V.act(j, list(D[i]))
-            for r in range(dim_v):
-                residual[r] += delta * (j_on_di[r] - i_on_dj[r])
+            for k, c in L.structure.get((i, j), ()):
+                for r, x in images[k]:
+                    residual[r] += c * x
+            for m, x in images[i]:  # + d * e_j . D(e_i)
+                for r, y in columns[j][m]:
+                    residual[r] += y * x
+            for m, x in images[j]:  # - d * e_i . D(e_j)
+                for r, y in columns[i][m]:
+                    residual[r] -= y * x
             if any(residual):
                 return False, (i, j, tuple(residual))
     return True, None
@@ -242,29 +263,32 @@ def solve(
     dim_v = V.dim_v
     col_weight = [lam[c // dim_v] - mu[c % dim_v] for c in range(system.cols)]
     groups: dict[Fraction, list[int]] = {}
+    position = [0] * system.cols  # index of a column inside its group
     for c, w in enumerate(col_weight):
-        groups.setdefault(w, []).append(c)
-    matrix = system.specialize(delta)
-    row_groups: dict[Fraction, list[int]] = {w: [] for w in groups}
-    for r, row in enumerate(matrix):
-        touched = {col_weight[c] for c, x in enumerate(row) if x}
-        if not touched:
+        position[c] = len(groups.setdefault(w, []))
+        groups[w].append(c)
+    blocks: dict[Fraction, list[dict[int, int]]] = {w: [] for w in groups}
+    for row in system.specialize(delta):
+        if not row:
             continue
-        if len(touched) > 1:
+        w = col_weight[next(iter(row))]
+        if any(col_weight[c] != w for c in row):
             raise VerificationFailure("equation couples distinct grading blocks")
-        row_groups[touched.pop()].append(r)
-    vectors: list[Vec] = []
-    for w in sorted(groups):
-        cols = groups[w]
-        sub = [[matrix[r][c] for c in cols] for r in row_groups[w]]
-        for kernel_vec in nullspace_bareiss(sub, len(cols)):
-            full = [Fraction(0)] * system.cols
+        blocks[w].append({position[c]: x for c, x in row.items()})
+    # blocks have disjoint columns, so their canonical bases together are
+    # the canonical basis of the whole kernel once sorted by leading column
+    found = []
+    zero = Fraction(0)
+    for w, cols in groups.items():
+        for kernel_vec in nullspace_bareiss(blocks[w], len(cols)):
+            full = [zero] * system.cols
             for c, x in zip(cols, kernel_vec):
                 full[c] = x
-            vectors.append(full)
-    reduced, pivots = rref(vectors)
-    final = [tuple(reduced[t]) for t in range(len(pivots))]
-    weights = tuple(col_weight[pc] for pc in pivots)
+            lead = next(c for c, x in zip(cols, kernel_vec) if x)
+            found.append((lead, tuple(full), w))
+    found.sort(key=lambda item: item[0])
+    final = [v for _, v, _ in found]
+    weights = tuple(w for _, _, w in found)
     return _space_from_vectors(system, delta, final, weights=weights)
 
 
@@ -318,14 +342,19 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     system = assemble_system(L, V)
     poly_rows = []
     for arow, brow in zip(system.a_part, system.b_part):
-        dens = [x.denominator for x in arow] + [x.denominator for x in brow]
-        den = lcm(*dens)
-        row = []
-        for a, b in zip(arow, brow):
-            ai, bi = int(a * den), int(b * den)
-            row.append((ai, bi) if bi else ((ai,) if ai else ()))
+        row = [()] * system.cols
+        for c, a in arow.items():
+            row[c] = (a,)
+        for c, b in brow.items():
+            row[c] = (row[c][0] if row[c] else 0, b)
         poly_rows.append(row)
     pivots, generic_rank = pencil_eliminate(poly_rows, system.cols)
+    # The elimination discards thousands of small coefficient tuples, which
+    # CPython keeps on its tuple free lists; only a full collection empties
+    # them, and the integer code paths allocate too few tracked objects to
+    # trigger one, so a long-running process would keep that memory.
+    del poly_rows
+    gc.collect()
 
     candidates: set[Fraction] = set()
     nonrational: set[Poly] = set()

@@ -101,23 +101,17 @@ class Poly:
     def __call__(self, x) -> Fraction:
         return poly_eval(self, x)
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by d**k."""
-        if self.is_zero():
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
     def deflate(self, root: Fraction) -> "Poly":
-        """Divide exactly by (d - root); requires root to be a root."""
-        if poly_eval(self, root) != 0:
-            raise ValueError(f"{root} is not a root")
-        # synthetic division, highest coefficient first
+        """Divide exactly by (d - root); raises ValueError unless root is a root."""
+        # synthetic division, highest coefficient first; the last carry is
+        # the remainder, the value at root
         out = []
         carry = Fraction(0)
         for c in reversed(self.coeffs):
             carry = c + carry * root
             out.append(carry)
-        assert out[-1] == 0
+        if carry != 0:
+            raise ValueError(f"{root} is not a root")
         return Poly(list(reversed(out[:-1])))
 
     def __str__(self) -> str:
@@ -137,10 +131,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
-
-
-def poly_from_string_coeffs(coeffs: Iterable[str]) -> Poly:
-    return Poly([parse_rational(c) for c in coeffs])
 
 
 def poly_eval(p: Poly, x) -> Fraction:
@@ -206,7 +196,8 @@ def poly_rational_roots(p: Poly) -> list[Fraction]:
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of n > 0.  Large hard cofactors go to sympy."""
-    assert n > 0
+    if n <= 0:
+        raise ValueError(f"can only factor positive integers, got {n}")
     factors: dict[int, int] = {}
     for d in (2, 3, 5):
         while n % d == 0:

@@ -31,7 +31,6 @@ from .linalg import (
     Mat,
     Vec,
     canonical_basis,
-    commutator,
     identity,
     kron,
     nullspace_bareiss,
@@ -102,16 +101,6 @@ class LieAlgebra:
             out[k] += sign * c
         return out
 
-    def bracket(self, x: Vec, y: Vec) -> Vec:
-        """[x, y] by bilinear expansion of the structure constants."""
-        out = [Fraction(0)] * self.dim
-        for (i, j), terms in self.structure.items():
-            coef = x[i] * y[j] - x[j] * y[i]
-            if coef:
-                for k, c in terms:
-                    out[k] += coef * c
-        return out
-
     def ad_matrix(self, i: int) -> Mat:
         """Matrix of ad(e_i), columns indexed by the acted-on basis element."""
         m = zeros(self.dim, self.dim)
@@ -128,21 +117,22 @@ class LieAlgebra:
 
 
 def _check_jacobi(alg: LieAlgebra) -> None:
+    """Check every triple i < j < k, expanding through nonzero constants only."""
     n = alg.dim
-    units = identity(n)
+    table = dict(alg.structure)  # the nonzero terms of [e_a, e_b] for all a != b
+    for (i, j), terms in alg.structure.items():
+        table[(j, i)] = tuple((k, -c) for k, c in terms)
     for i in range(n):
         for j in range(i + 1, n):
-            bij = alg.bracket_basis(i, j)
             for k in range(j + 1, n):
-                res = alg.bracket(bij, units[k])
-                for term in (
-                    alg.bracket(alg.bracket_basis(j, k), units[i]),
-                    alg.bracket(alg.bracket_basis(k, i), units[j]),
-                ):
-                    for c in range(n):
-                        res[c] += term[c]
-                if any(res):
-                    raise JacobiViolation(i, j, k, tuple(res))
+                res: dict[int, Fraction] = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c in table.get((x, y), ()):
+                        for t, c2 in table.get((m, z), ()):
+                            res[t] = res.get(t, 0) + c * c2
+                if any(res.values()):
+                    residual = tuple(Fraction(res.get(t, 0)) for t in range(n))
+                    raise JacobiViolation(i, j, k, residual)
 
 
 def algebra_from_structure_constants(
@@ -230,18 +220,33 @@ def _freeze_matrix(m: Mat) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
+def sparse_rows(m) -> list[dict[int, Fraction]]:
+    """The nonzero entries of each row of a matrix, as {column: value} maps."""
+    return [{s: x for s, x in enumerate(row) if x} for row in m]
+
+
 def _check_homomorphism(rep: Representation) -> None:
+    """Check [rho_i, rho_j] = rho([e_i, e_j]) for every pair i < j, on nonzeros."""
     alg = rep.algebra
-    mats = [rep.action_matrix(i) for i in range(alg.dim)]
+    mats = [sparse_rows(m) for m in rep.action]
+    n = rep.dim_v  # entry (r, s) is accumulated under the key r * n + s
+
+    def add_product(acc, left, right, sign):
+        for r, row in enumerate(left):
+            for t, x in row.items():
+                for s, y in right[t].items():
+                    acc[r * n + s] = acc.get(r * n + s, 0) + sign * x * y
+
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            lhs = commutator(mats[i], mats[j])
-            rhs = zeros(rep.dim_v, rep.dim_v)
+            acc: dict[int, Fraction] = {}
+            add_product(acc, mats[i], mats[j], 1)
+            add_product(acc, mats[j], mats[i], -1)
             for k, c in alg.structure.get((i, j), ()):
-                for r in range(rep.dim_v):
-                    for s in range(rep.dim_v):
-                        rhs[r][s] += c * mats[k][r][s]
-            if lhs != rhs:
+                for r, row in enumerate(mats[k]):
+                    for s, y in row.items():
+                        acc[r * n + s] = acc.get(r * n + s, 0) - c * y
+            if any(acc.values()):
                 raise HomomorphismViolation(i, j)
 
 
@@ -308,54 +313,51 @@ def sl_n(n: int) -> tuple[LieAlgebra, Representation]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-
-    def unit(i: int, j: int) -> Mat:
-        m = zeros(n, n)
-        m[i][j] = Fraction(1)
-        return m
-
-    basis_mats: list[Mat] = []
+    basis: list[dict[tuple[int, int], int]] = []  # nonzero matrix entries
     labels: list[str] = []
     positions: dict[tuple[int, int], int] = {}  # off-diagonal unit -> basis index
-    for i in range(n):
-        for j in range(n):
-            if i > j:
-                positions[(i, j)] = len(basis_mats)
-                basis_mats.append(unit(i, j))
-                labels.append(f"E{i + 1}{j + 1}")
-    h_start = len(basis_mats)
+
+    def add_units(upper: bool) -> None:
+        for i in range(n):
+            for j in range(n):
+                if i != j and (i < j) == upper:
+                    positions[(i, j)] = len(basis)
+                    basis.append({(i, j): 1})
+                    labels.append(f"E{i + 1}{j + 1}")
+
+    add_units(False)
+    h_start = len(basis)
     for k in range(n - 1):
-        m = unit(k, k)
-        m[k + 1][k + 1] = Fraction(-1)
-        basis_mats.append(m)
+        basis.append({(k, k): 1, (k + 1, k + 1): -1})
         labels.append(f"H{k + 1}")
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                positions[(i, j)] = len(basis_mats)
-                basis_mats.append(unit(i, j))
-                labels.append(f"E{i + 1}{j + 1}")
+    add_units(True)
 
-    def coordinates(m: Mat) -> Vec:
-        out = [Fraction(0)] * len(basis_mats)
-        for (i, j), idx in positions.items():
-            out[idx] = m[i][j]
-        partial = Fraction(0)
-        for k in range(n - 1):
-            partial += m[k][k]
-            out[h_start + k] = partial
-        return out
-
-    dim = len(basis_mats)
+    dim = len(basis)
     entries = []
     for a in range(dim):
         for b in range(a + 1, dim):
-            coords = coordinates(commutator(basis_mats[a], basis_mats[b]))
-            for k, c in enumerate(coords):
-                if c:
-                    entries.append((a, b, k, c))
+            # [X, Y] through E_ij E_kl = (j == k) E_il
+            bracket: dict[tuple[int, int], int] = {}
+            for (i, j), x in basis[a].items():
+                for (k, l), y in basis[b].items():
+                    if j == k:
+                        bracket[(i, l)] = bracket.get((i, l), 0) + x * y
+                    if l == i:
+                        bracket[(k, j)] = bracket.get((k, j), 0) - x * y
+            diagonal = [0] * n
+            for (i, j), x in bracket.items():
+                if i != j:
+                    entries.append((a, b, positions[(i, j)], x))
+                else:
+                    diagonal[i] += x
+            partial = 0
+            for k in range(n - 1):
+                partial += diagonal[k]
+                if partial:
+                    entries.append((a, b, h_start + k, partial))
     alg = algebra_from_structure_constants(dim, entries, labels=labels)
-    natural = representation_from_action(alg, basis_mats)
+    matrices = [[[m.get((i, j), 0) for j in range(n)] for i in range(n)] for m in basis]
+    natural = representation_from_action(alg, matrices)
     return alg, natural
 
 
@@ -434,9 +436,9 @@ def tensor_module(v1: Representation, v2: Representation) -> Representation:
 
 def invariants(V: Representation) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the joint kernel of all action matrices (the invariants)."""
-    rows: list[Vec] = []
+    rows: list[dict[int, Fraction]] = []
     for i in range(V.algebra.dim):
-        rows.extend(list(row) for row in V.action[i])
+        rows.extend(sparse_rows(V.action[i]))
     return nullspace_bareiss(rows, V.dim_v)
 
 

@@ -2,17 +2,17 @@
 
 Two independent kernel routes are kept deliberately separate:
 
-* ``nullspace_bareiss`` is the production route.  It clears denominators
-  and runs fraction-free (Bareiss) forward elimination over the integers,
-  so intermediate entries are minors of the scaled input and stay of
-  controlled size, then back-substitutes over Fractions.
-* ``nullspace_gauss`` is a plain Gauss-Jordan elimination on Fractions,
-  used as a cross-check of the Bareiss route.
+* ``nullspace_bareiss`` is the production route for the fixed-d systems,
+  which are a few percent nonzero.  It takes sparse rows (``{column:
+  entry}``), scales each to a primitive integer row and eliminates
+  fraction-free on those rows only: no Fraction arithmetic, no dense matrix.
+* ``nullspace_gauss`` is a plain dense Gauss-Jordan elimination on
+  Fractions, used as an oracle for the production route.
 
 Both return the same canonical basis: the reduced row echelon form of the
 kernel, under the ambient coordinate order, with pivot entries 1.
 
-``pencil_eliminate`` runs the same fraction-free scheme over ZZ[d] for a
+``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on a dense
 one-parameter matrix family, recording every pivot polynomial.  Pivots are
 chosen by lowest degree first (ties by column, then row), which keeps the
 degrees of recorded pivots small.
@@ -21,12 +21,13 @@ degrees of recorded pivots small.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .exact_arith import Poly
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
+SparseRow = dict[int, Fraction]  # column -> entry; int entries are fine too
 
 
 def zeros(rows: int, cols: int) -> Mat:
@@ -54,18 +55,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
                     if bk[j]:
                         oi[j] += s * bk[j]
     return out
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def commutator(a: Mat, b: Mat) -> Mat:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -137,57 +126,81 @@ def nullspace_gauss(rows: list[Vec], ncols: int) -> tuple[tuple[Fraction, ...], 
     return canonical_basis(basis)
 
 
-def _clear_row_denominators(row: Vec) -> list[int]:
-    den = lcm(*(x.denominator for x in row)) if row else 1
-    return [int(x * den) for x in row]
+def _divide_content(row: dict[int, int]) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = 0
+    for x in row.values():
+        g = gcd(g, x)
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
-def nullspace_bareiss(rows: list[Vec], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Kernel basis via integer fraction-free elimination (production route).
+def _primitive(row: SparseRow) -> dict[int, int]:
+    """The row scaled to coprime integers, zero entries dropped."""
+    den = 1
+    for x in row.values():
+        den = lcm(den, x.denominator)
+    out = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+    _divide_content(out)
+    return out
 
-    Rows are scaled to integers (kernel unchanged), forward-eliminated with
-    the Bareiss one-step division rule, and the kernel is recovered by back
-    substitution over Fractions.
+
+def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Kernel basis via sparse integer fraction-free elimination (production route).
+
+    Rows (``{column: rational}``) are scaled to primitive integer rows.
+    Gauss-Jordan elimination takes pivots from the last column down, each
+    from the shortest row holding it, and keeps every row primitive.  A pivot
+    row then holds only its pivot and free columns left of it, so the kernel
+    vector of free column f (e_f minus the f-entries over the pivots) has
+    leading entry f and zeros at the other free columns: the canonical basis.
     """
-    m = [_clear_row_denominators(r) for r in rows]
-    m = [r for r in m if any(r)]
-    pivots: list[int] = []  # pivot column per echelon row
-    t = 0
-    prev = 1
-    for c in range(ncols):
-        pr = next((i for i in range(t, len(m)) if m[i][c] != 0), None)
-        if pr is None:
+    work = [r for r in map(_primitive, rows) if r]
+    holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    for t, row in enumerate(work):
+        for c in row:
+            holders.setdefault(c, set()).add(t)
+    is_pivot_row = [False] * len(work)
+    pivot_row: dict[int, int] = {}  # pivot column -> row index
+    for c in range(ncols - 1, -1, -1):
+        holding = holders.get(c)
+        candidates = [t for t in holding or () if not is_pivot_row[t]]
+        if not candidates:
             continue
-        m[t], m[pr] = m[pr], m[t]
-        piv = m[t][c]
-        for i in range(t + 1, len(m)):
-            mult = m[i][c]
-            row = m[i]
-            top = m[t]
-            for j in range(c + 1, ncols):
-                row[j] = (piv * row[j] - mult * top[j]) // prev
-            row[c] = 0
-        m = m[: t + 1] + [r for r in m[t + 1 :] if any(r)]
-        pivots.append(c)
-        prev = piv
-        t += 1
-        if t == len(m):
-            break
-    echelon = m[:t]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for f in free:
-        v: Vec = [Fraction(0)] * ncols
+        t = min(candidates, key=lambda u: (len(work[u]), u))
+        is_pivot_row[t] = True
+        pivot_row[c] = t
+        top = work[t]
+        piv = top[c]
+        for u in list(holding):
+            if u == t:
+                continue
+            row = work[u]
+            g = gcd(piv, row[c])
+            a, b = piv // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, y in top.items():
+                x = row.get(k, 0) - b * y
+                if x:
+                    if k not in row:
+                        holders[k].add(u)
+                    row[k] = x
+                else:
+                    del row[k]
+                    holders[k].discard(u)
+            _divide_content(row)
+    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_row}
+    for f, v in basis.items():
         v[f] = Fraction(1)
-        for r in range(t - 1, -1, -1):
-            pc = pivots[r]
-            s = sum(
-                (Fraction(echelon[r][j]) * v[j] for j in range(pc + 1, ncols) if v[j]),
-                Fraction(0),
-            )
-            v[pc] = -s / echelon[r][pc]
-        basis.append(v)
-    return canonical_basis(basis)
+    for p, t in pivot_row.items():
+        row = work[t]
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-x, row[p])
+    return tuple(map(tuple, basis.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +240,10 @@ def _psub(a: IPoly, b: IPoly) -> IPoly:
 
 def _pdivexact(a: IPoly, b: IPoly) -> IPoly:
     """Exact division in ZZ[d]; raises if the division leaves a remainder."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ()
-    assert b, "division by zero polynomial"
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     blead = b[-1]
@@ -252,10 +266,6 @@ def ipoly_from_poly(p: Poly) -> IPoly:
         return ()
     den = lcm(*(c.denominator for c in p.coeffs))
     return tuple(int(c * den) for c in p.coeffs)
-
-
-def ipoly_to_poly(t: IPoly) -> Poly:
-    return Poly(t)
 
 
 def pencil_eliminate(rows: list[list[IPoly]], ncols: int) -> tuple[list[Poly], int]:
@@ -290,7 +300,7 @@ def pencil_eliminate(rows: list[list[IPoly]], ncols: int) -> tuple[list[Poly], i
             for row in m:
                 row[t], row[c] = row[c], row[t]
         piv = m[t][t]
-        pivot_polys.append(ipoly_to_poly(piv))
+        pivot_polys.append(Poly(piv))
         for i in range(t + 1, len(m)):
             row = m[i]
             mult = row[t]

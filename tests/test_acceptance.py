@@ -292,7 +292,8 @@ def test_criterion_6e_elimination_routes_agree(suite):
         for d in (F(1), F(1, 2), F(-2, 3)):
             matrix = system.specialize(d)
             fast = nullspace_bareiss(matrix, system.cols)
-            slow = nullspace_gauss(matrix, system.cols)
+            dense = [[row.get(c, 0) for c in range(system.cols)] for row in matrix]
+            slow = nullspace_gauss(dense, system.cols)
             if fast != slow:
                 ok = False
                 detail = f"{name} at {d}: {len(fast)} vs {len(slow)}"

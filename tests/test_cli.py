@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -104,6 +105,17 @@ class TestModuleDescriptors:
     def test_natural_over_matrix_algebra(self):
         module, _ = self._parse("sl3", "natural")
         assert module.dim_v == 3
+
+    def test_natural_builds_the_matrix_algebra_once(self, capsys, monkeypatch):
+        from deltader import lie_core
+
+        calls = []
+        real = lie_core.sl_n
+        monkeypatch.setattr(lie_core, "sl_n", lambda n: calls.append(n) or real(n))
+        code, _, _ = run_cli(capsys, "solve", "--algebra", "sl3", "--module", "natural",
+                             "--delta", "1")
+        assert code == 0
+        assert calls == [3]
 
     def test_natural_over_sl2_rejected(self):
         with pytest.raises(SemanticError):
@@ -366,6 +378,26 @@ class TestDescribeAndRoundTrip:
         code, _, err = run_cli(capsys, "scan", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"algebra": {"dim": 2, "brackets": 5}, "module": {"dim": 1, "action": []}},
+            {"algebra": {"dim": 2, "brackets": [[0, 1, 1]]}, "module": {"dim": 1, "action": []}},
+            {"algebra": {"dim": 2, "brackets": []}, "module": {"dim": 1, "action": 7}},
+            [{"algebra": {}, "module": {}}],
+            "algebra module",
+        ],
+        ids=["brackets-not-a-list", "short-bracket-entry", "action-not-a-list", "top-level-list",
+             "top-level-string"],
+    )
+    def test_malformed_shapes_are_input_errors(self, capsys, tmp_path, payload):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "scan", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_exit_zero_when_clean(self, capsys):
@@ -382,3 +414,22 @@ class TestVerifyCommand:
     def test_bad_bound(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "0")
         assert code == 2
+
+
+class TestGoldenOutputs:
+    """The stdout of large solves, pinned byte for byte by its sha256."""
+
+    @pytest.mark.parametrize(
+        "algebra, module, delta, digest",
+        [
+            ("sl4", "adjoint", "1/2",
+             "e0e258b71e329b8175f5bbe5e1142d74b51bcc4782d4fb2ceb84f4300a717480"),
+            ("sl5", "natural", "1",
+             "6a147e16282577cc5265c1a9e6d6a32e271a8ee49a5f70af277f7cff5549ef08"),
+        ],
+    )
+    def test_solve_stdout(self, capsys, algebra, module, delta, digest):
+        code, out, _ = run_cli(capsys, "solve", "--algebra", algebra, "--module", module,
+                               "--delta", delta)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,12 +13,12 @@ from deltader.delta_solver import (
     scan,
     solve,
 )
-from deltader.exact_arith import Poly
 from deltader.lie_core import (
     AlgebraMismatch,
     adjoint_module,
     algebra_from_structure_constants,
     direct_sum_modules,
+    representation_from_action,
     sl2_module,
     trivial_module,
 )
@@ -41,11 +41,17 @@ class TestAssembly:
         abelian = algebra_from_structure_constants(3, [])
         rep = trivial_module(abelian, 2)
         system = assemble_system(abelian, rep)
-        assert all(x == 0 for row in system.a_part for x in row)
+        assert not any(system.specialize(0))
 
     def test_entries_have_degree_at_most_one(self, sl2):
+        # integer constants, so at integer d the rows are A + d*B unscaled
         system = assemble_system(sl2, sl2_module(2))
-        assert max(system.entry(r, c).degree for r in range(9) for c in range(9)) == 1
+        at = [system.specialize(d) for d in range(3)]
+        entry = [[[row.get(c, 0) for c in range(9)] for row in m] for m in at]
+        for r in range(9):
+            for c in range(9):
+                assert entry[2][r][c] - 2 * entry[1][r][c] + entry[0][r][c] == 0
+        assert any(entry[1][r][c] != entry[0][r][c] for r in range(9) for c in range(9))
 
     def test_first_pair_block_matches_symbolic_expansion(self, sl2):
         # the block for the pair (e-, h) at coordinate r couples the
@@ -55,8 +61,10 @@ class TestAssembly:
             system = assemble_system(sl2, sl2_module(n))
             dim_v = n + 1
             row = 0 * dim_v + r  # pair (0, 1) is the first block
-            assert system.entry(row, 0 * dim_v + r) == Poly([2, n - 2 * r])
-            assert system.entry(row, 1 * dim_v + (r - 1)) == Poly([0, -r])
+            for d in (-1, 0, 1, 3):
+                specialized = system.specialize(d)[row]
+                assert specialized.get(0 * dim_v + r, 0) == 2 + d * (n - 2 * r)
+                assert specialized.get(1 * dim_v + (r - 1), 0) == -d * r
 
     def test_algebra_mismatch(self, sl2, sl3_natural):
         with pytest.raises(AlgebraMismatch):
@@ -170,6 +178,24 @@ class TestScan:
                 continue
             assert kernel_at(system, d).dimension == 0
             tried += 1
+
+    def test_fractional_constants_give_the_same_answers(self, sl2, v_modules):
+        # the basis (e-/2, h, e+/3) of sl2 has the constant -1/6, so the rows
+        # are scaled to integers; the answers must not notice
+        scaled = algebra_from_structure_constants(
+            3, [(0, 1, 0, 2), (0, 2, 1, F(-1, 6)), (1, 2, 2, 2)]
+        )
+        for n in (2, 3):
+            lower, diag, upper = (v_modules[n].action_matrix(i) for i in range(3))
+            module = representation_from_action(
+                scaled,
+                [[[x / 2 for x in row] for row in lower], diag,
+                 [[x / 3 for x in row] for row in upper]],
+            )
+            assert scan(scaled, module) == scan(sl2, v_modules[n])
+            for d in (F(-2, n), F(2, n + 2), F(3, 7)):
+                got = solve(scaled, module, d).dimension
+                assert got == solve(sl2, v_modules[n], d).dimension
 
     def test_include_zero_on_abelian(self):
         abelian = algebra_from_structure_constants(2, [])

@@ -6,6 +6,7 @@ import pytest
 
 from deltader.exact_arith import (
     Poly,
+    _factorize,
     format_rational,
     parse_rational,
     poly_eval,
@@ -113,6 +114,12 @@ class TestPolyBasics:
         assert p.deflate(Fraction(1)) == Poly([-2, 1])
         with pytest.raises(ValueError):
             p.deflate(Fraction(5))
+        assert Poly().deflate(Fraction(3)) == Poly()
+
+    def test_factorize_rejects_nonpositive(self):
+        for n in (0, -12):
+            with pytest.raises(ValueError):
+                _factorize(n)
 
 
 class TestNormalize:

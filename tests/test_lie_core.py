@@ -21,9 +21,14 @@ from deltader.lie_core import (
     trivial_module,
     weight_decomposition,
 )
-from deltader.linalg import commutator, identity, mat_mul
+from deltader.linalg import identity, mat_mul
 
 F = Fraction
+
+
+def commutator(a, b):
+    ab, ba = mat_mul(a, b), mat_mul(b, a)
+    return [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
 
 
 def unit(n, i):
@@ -106,6 +111,33 @@ class TestStructureConstantConstruction:
             for k, c in term.items():
                 res[k] = res.get(k, F(0)) + c
         assert {k: c for k, c in res.items() if c} == {0: F(-1)}
+
+    def test_first_failing_triple_in_a_large_sparse_algebra(self):
+        # sl4 with two constants doubled fails on many triples; the check
+        # reports the lexicographically first one, found here by brute force
+        # through the dense basis brackets
+        alg = sl_n(4)[0]
+        entries = [(i, j, k, c) for (i, j), terms in alg.structure.items() for k, c in terms]
+        for t in (40, 7):
+            i, j, k, c = entries[t]
+            entries[t] = (i, j, k, 2 * c)
+        broken = algebra_from_structure_constants(15, entries, validate=False)
+        failing = []
+        for i in range(15):
+            for j in range(i + 1, 15):
+                for k in range(j + 1, 15):
+                    res = [F(0)] * 15
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, c in enumerate(broken.bracket_basis(x, y)):
+                            if c:
+                                term = broken.bracket_basis(m, z)
+                                res = [a + c * b for a, b in zip(res, term)]
+                    if any(res):
+                        failing.append(((i, j, k), tuple(res)))
+        assert len(failing) > 1
+        with pytest.raises(JacobiViolation) as err:
+            algebra_from_structure_constants(15, entries)
+        assert (err.value.triple, err.value.residual) == failing[0]
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -332,6 +364,22 @@ class TestRepresentationValidation:
         with pytest.raises(HomomorphismViolation) as err:
             representation_from_action(sl2, mats)
         assert err.value.pair == (1, 2)
+
+    def test_first_failing_pair_in_a_larger_module(self, sl3, sl3_natural):
+        mats = [sl3_natural.action_matrix(i) for i in range(8)]
+        mats[5][0][2] = F(3)  # a zero entry of E12's matrix
+        failing = []
+        for i in range(8):
+            for j in range(i + 1, 8):
+                rhs = [[F(0)] * 3 for _ in range(3)]
+                for k, c in sl3.structure.get((i, j), ()):
+                    rhs = [[a + c * b for a, b in zip(ra, rb)] for ra, rb in zip(rhs, mats[k])]
+                if commutator(mats[i], mats[j]) != rhs:
+                    failing.append((i, j))
+        assert len(failing) > 1
+        with pytest.raises(HomomorphismViolation) as err:
+            representation_from_action(sl3, mats)
+        assert err.value.pair == failing[0]
 
     def test_wrong_count_rejected(self, sl2):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltader.exact_arith import Poly
 from deltader.linalg import (
@@ -31,6 +33,37 @@ def random_matrix(rng, rows, cols):
         return F(rng.randint(-6, 6), rng.randint(1, 4))
 
     return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def sparse(m):
+    """Dense rows as the {column: nonzero entry} rows the production route takes."""
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense, very sparse (at most 5% nonzero) or empty matrices, with zero and
+    duplicate rows mixed in."""
+    cols = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["dense", "sparse", "empty"]))
+    if kind == "empty":
+        return [], cols
+    rows = draw(st.integers(1, 10 if kind == "dense" else 40))
+    value = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+    if kind == "dense":
+        m = [[draw(value) for _ in range(cols)] for _ in range(rows)]
+    else:
+        m = [[F(0)] * cols for _ in range(rows)]
+        cells = draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), value),
+            max_size=rows * cols // 20,
+        ))
+        for r, c, x in cells:
+            m[r][c] = x
+    extra = draw(st.lists(st.integers(0, rows - 1), max_size=3))
+    m += [list(m[r]) for r in extra]  # duplicates
+    m += [[F(0)] * cols] * draw(st.integers(0, 2))  # zero rows
+    return m, cols
 
 
 class TestRref:
@@ -66,7 +99,7 @@ class TestCanonicalBasis:
 
 class TestNullspaceRoutes:
     def test_zero_matrix_gives_full_space(self):
-        basis = nullspace_bareiss([[F(0)] * 3], 3)
+        basis = nullspace_bareiss([{}], 3)
         assert basis == tuple(tuple(row) for row in identity(3))
         assert nullspace_gauss([[F(0)] * 3], 3) == basis
 
@@ -74,12 +107,12 @@ class TestNullspaceRoutes:
         assert nullspace_bareiss([], 2) == ((F(1), F(0)), (F(0), F(1)))
 
     def test_full_rank_gives_empty_kernel(self):
-        assert nullspace_bareiss(identity(4), 4) == ()
+        assert nullspace_bareiss(sparse(identity(4)), 4) == ()
 
     def test_hand_kernel(self):
         # x + y + z = 0, y - z = 0  ->  kernel spanned by (-2, 1, 1)
         m = [[F(1), F(1), F(1)], [F(0), F(1), F(-1)]]
-        basis = nullspace_bareiss(m, 3)
+        basis = nullspace_bareiss(sparse(m), 3)
         assert basis == ((F(1), F(-1, 2), F(-1, 2)),)
         assert nullspace_gauss(m, 3) == basis
 
@@ -89,15 +122,27 @@ class TestNullspaceRoutes:
             rows = rng.randint(0, 8)
             cols = rng.randint(1, 10)
             m = random_matrix(rng, rows, cols)
-            got = nullspace_bareiss(m, cols)
+            got = nullspace_bareiss(sparse(m), cols)
             want = nullspace_gauss(m, cols)
             assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_sparse_route_matches_gauss_oracle(self, case):
+        m, cols = case
+        assert nullspace_bareiss(sparse(m), cols) == nullspace_gauss(m, cols)
+
+    def test_integer_and_unscaled_rows_agree(self):
+        # rows may hold ints or Fractions; scaling a row changes nothing
+        m = [{0: 2, 2: F(-1, 3)}, {1: F(5), 2: 7}]
+        scaled = [{0: 12, 2: -2}, {1: -5, 2: -7}]
+        assert nullspace_bareiss(m, 3) == nullspace_bareiss(scaled, 3)
 
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(5)
         for _ in range(30):
             m = random_matrix(rng, 5, 7)
-            for v in nullspace_bareiss(m, 7):
+            for v in nullspace_bareiss(sparse(m), 7):
                 assert all(
                     sum(row[j] * v[j] for j in range(7)) == 0 for row in m
                 )
@@ -138,6 +183,11 @@ class TestIntPolynomials:
         assert _pdivexact((1, 2, 1), (1, 1)) == (1, 1)
         with pytest.raises(ArithmeticError):
             _pdivexact((1, 1), (2,))
+
+    def test_division_by_zero_polynomial(self):
+        for a in ((1, 1), ()):
+            with pytest.raises(ZeroDivisionError):
+                _pdivexact(a, ())
 
     def test_ipoly_round_trip(self):
         p = Poly([F(1, 2), F(-1, 3)])
