@@ -94,10 +94,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _MatrixAtom(str):
-    """The name of an slN summand, keeping the natural module built with it."""
+class _Atom(str):
+    """The name of an algebra summand, keeping the algebra built for it
+    (and, for slN, the natural module built with it)."""
 
-    natural: Representation
+    algebra: LieAlgebra
+    natural: Representation | None = None
 
 
 def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
@@ -105,8 +107,7 @@ def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty algebra descriptor", 0)
-    parts: list[str] = []
-    algebras: list[LieAlgebra] = []
+    parts: list[_Atom] = []
     expect_atom = True
     for kind, value, pos in tokens:
         if expect_atom:
@@ -115,16 +116,14 @@ def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
                     raise SemanticError(f"{value!r} names a module, not an algebra")
                 raise ParseError(f"expected an algebra name, got {value!r}", pos)
             n = int(value[2:])
-            if n == 2:
-                algebras.append(lie_core.sl2())
-            elif n >= 3:
-                algebra, natural = lie_core.sl_n(n)
-                algebras.append(algebra)
-                value = _MatrixAtom(value)
-                value.natural = natural
-            else:
+            if n < 2:
                 raise SemanticError(f"{value!r}: matrix rank must be at least 2")
-            parts.append(value)
+            atom = _Atom(value)
+            if n == 2:
+                atom.algebra = lie_core.sl2()
+            else:
+                atom.algebra, atom.natural = lie_core.sl_n(n)
+            parts.append(atom)
             expect_atom = False
         else:
             if kind == "OTIMES":
@@ -134,9 +133,9 @@ def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
             expect_atom = True
     if expect_atom:
         raise ParseError("dangling operator in algebra descriptor", len(text))
-    if len(algebras) == 1:
-        return algebras[0], parts
-    return lie_core.direct_sum_algebras(algebras), parts
+    if len(parts) == 1:
+        return parts[0].algebra, parts
+    return lie_core.direct_sum_algebras([p.algebra for p in parts]), parts
 
 
 def _module_atom(kind: str, value: str, part: str, algebra: LieAlgebra) -> Representation:
@@ -154,10 +153,7 @@ def _module_atom(kind: str, value: str, part: str, algebra: LieAlgebra) -> Repre
                 f"'natural' needs a matrix algebra slN with N >= 3, not {part!r}; "
                 "over sl2 use V(1)"
             )
-        natural = getattr(part, "natural", None)
-        if natural is not None and natural.algebra is algebra:
-            return natural
-        return lie_core.sl_n(int(part[2:]))[1]
+        return part.natural
     raise SemanticError(f"{value!r} cannot appear in a module descriptor")
 
 
@@ -173,7 +169,6 @@ def parse_module_descriptor(
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty module descriptor", 0)
-    part_algebras: list[LieAlgebra] | None = None  # built lazily for tensors
     terms: list[Representation] = []
     term_texts: list[str] = []
     i = 0
@@ -208,11 +203,9 @@ def parse_module_descriptor(
                     f"tensor term has {len(factors)} factors but the algebra has "
                     f"{len(parts)} summands"
                 )
-            if part_algebras is None:
-                part_algebras = [parse_algebra_descriptor(p)[0] for p in parts]
             built = None
-            for (kind, value, pos), part, part_alg in zip(factors, parts, part_algebras):
-                factor = _module_atom(kind, value, part, part_alg)
+            for (kind, value, pos), part in zip(factors, parts):
+                factor = _module_atom(kind, value, part, part.algebra)
                 built = factor if built is None else lie_core.tensor_module(built, factor)
             if built.algebra != algebra:
                 raise SemanticError("tensor term does not assemble over the given algebra")

@@ -163,34 +163,48 @@ def poly_normalize(p: Poly) -> Poly:
 def poly_rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p, sorted by (numerator, denominator).
 
-    Candidates are a/b with a dividing the trailing and b the leading
-    coefficient of the integer-normalized polynomial; each candidate is
-    confirmed by exact evaluation.  The zero polynomial is rejected since
-    every value is a root of it.
+    Let q be p scaled to coprime integer coefficients, with its powers of d
+    divided out (a zero constant term contributes the root 0).  Every
+    rational root s/b in lowest terms has s dividing q(0) and b dividing the
+    leading coefficient, and by Gauss's lemma q = (b*d - s) * r with r
+    integral, so (b - s) divides q(1) and (b + s) divides q(-1).  Each
+    coprime divisor pair +-s/b is tested: it is rejected when one of those
+    two divisibilities fails (a test is skipped when its divisor is 0),
+    and otherwise confirmed by the exact integer value
+    sum q_k s^k b^(n-k) = b^n q(s/b).  No Fraction is built until a root is
+    confirmed.  The zero polynomial is rejected since every value is a root
+    of it.
     """
     if p.is_zero():
         raise ValueError("zero polynomial: every value is a root")
     if p.degree == 0:
         return []
-    q = poly_normalize(p)
-    roots: set[Fraction] = set()
-    # strip powers of d: a zero constant term contributes the root 0
-    low = 0
-    while q.coeffs[low] == 0:
-        low += 1
-    if low > 0:
-        roots.add(Fraction(0))
-        q = Poly(q.coeffs[low:])
-    if q.degree >= 1:
-        a0 = abs(int(q.coeffs[0]))
-        alead = abs(int(q.coeffs[-1]))
-        for a in _divisors(a0):
-            for b in _divisors(alead):
-                cand = Fraction(a, b)
-                if poly_eval(p, cand) == 0:
-                    roots.add(cand)
-                if poly_eval(p, -cand) == 0:
-                    roots.add(-cand)
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
+    low = next(k for k, c in enumerate(ints) if c)
+    q = [c // g for c in ints[low:]]
+    roots = [Fraction(0)] if low else []
+    if len(q) > 1:
+        at_one = sum(q)
+        at_minus_one = sum(q[0::2]) - sum(q[1::2])
+        numerators = _divisors(abs(q[0]))
+        for b in _divisors(abs(q[-1])):
+            # q_k * b^(n-k) for n = deg q, leading term first
+            scaled = [c * b**j for j, c in enumerate(reversed(q))]
+            for a in numerators:
+                if gcd(a, b) != 1:
+                    continue
+                for s in (a, -a):
+                    if b != s and at_one % (b - s):
+                        continue
+                    if b != -s and at_minus_one % (b + s):
+                        continue
+                    value = 0
+                    for c in scaled:
+                        value = value * s + c
+                    if value == 0:
+                        roots.append(Fraction(s, b))
     return sorted(roots, key=lambda r: (r.numerator, r.denominator))
 
 

@@ -221,6 +221,8 @@ def _ptrim(cs: list[int]) -> IPoly:
 def _pmul(a: IPoly, b: IPoly) -> IPoly:
     if not a or not b:
         return ()
+    if len(a) == 1:  # from a list: a tuple built from an iterator raised the peak memory
+        return tuple([a[0] * y for y in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -244,6 +246,14 @@ def _pdivexact(a: IPoly, b: IPoly) -> IPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ()
+    if len(b) == 1:  # the common case: the previous pivot is a constant
+        out = []
+        for x in a:
+            q, r = divmod(x, b[0])
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out.append(q)
+        return tuple(out)
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     blead = b[-1]
@@ -277,7 +287,6 @@ def pencil_eliminate(rows: list[list[IPoly]], ncols: int) -> tuple[list[Poly], i
     which favors constant pivots and keeps recorded-pivot degrees low.
     """
     m = [list(r) for r in rows if any(r)]
-    colperm = list(range(ncols))
     pivot_polys: list[Poly] = []
     t = 0
     prev: IPoly = (1,)
@@ -296,18 +305,25 @@ def pencil_eliminate(rows: list[list[IPoly]], ncols: int) -> tuple[list[Poly], i
         _, c, r = best
         m[t], m[r] = m[r], m[t]
         if c != t:
-            colperm[t], colperm[c] = colperm[c], colperm[t]
-            for row in m:
+            # finished rows above t are never read again
+            for row in m[t:]:
                 row[t], row[c] = row[c], row[t]
-        piv = m[t][t]
+        top = m[t]
+        piv = top[t]
         pivot_polys.append(Poly(piv))
+        exact = prev != (1,)
         for i in range(t + 1, len(m)):
             row = m[i]
             mult = row[t]
-            top = m[t]
             for j in range(t + 1, ncols):
-                num = _psub(_pmul(piv, row[j]), _pmul(mult, top[j]))
-                row[j] = _pdivexact(num, prev) if prev != (1,) else num
+                x, y = row[j], top[j]
+                if mult and y:
+                    num = _psub(_pmul(piv, x), _pmul(mult, y))
+                elif x:
+                    num = _pmul(piv, x)
+                else:
+                    continue
+                row[j] = _pdivexact(num, prev) if exact else num
             row[t] = ()
         m = m[: t + 1] + [r for r in m[t + 1 :] if any(r)]
         prev = piv

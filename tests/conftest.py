@@ -38,3 +38,26 @@ def v_modules():
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+@pytest.fixture(scope="session")
+def probe_json():
+    """The probe below as ``--input`` JSON."""
+    return {
+        "algebra": {"dim": 2, "brackets": [[0, 1, 1, "1"]]},
+        "module": {"dim": 2, "action": [[["0", "2"], ["1", "0"]], [["0", "0"], ["0", "0"]]]},
+    }
+
+
+@pytest.fixture(scope="session")
+def probe():
+    """The 2-dim algebra [x,y]=y on a 2-dim module with rho(x)=[[0,2],[1,0]], rho(y)=0.
+
+    Its pencil has a nonzero kernel at every d and drops rank further at
+    d = +-sqrt(2)/2 only, the roots of 2*d^2 - 1.
+    """
+    alg = lie_core.algebra_from_structure_constants(2, [(0, 1, 1, 1)])
+    module = lie_core.representation_from_action(
+        alg, [[[0, 2], [1, 0]], [[0, 0], [0, 0]]]
+    )
+    return alg, module

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import deltader
 from deltader.cli import (
     ParseError,
     SemanticError,
@@ -116,6 +121,25 @@ class TestModuleDescriptors:
                              "--delta", "1")
         assert code == 0
         assert calls == [3]
+
+    def test_tensor_summand_algebras_built_once(self, capsys, monkeypatch):
+        from deltader import lie_core
+
+        calls = []
+        real = lie_core.algebra_from_structure_constants
+        monkeypatch.setattr(
+            lie_core, "algebra_from_structure_constants",
+            lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs),
+        )
+        code, out, _ = run_cli(capsys, "scan", "--algebra", "sl2 o+ sl2",
+                               "--module", "V(2) (x) V(0) o+ V(0) (x) V(1)")
+        assert code == 0
+        # sl2 twice and their sum for the algebra; per tensor term the two
+        # sl2_module algebras and the sum they act on
+        assert len(calls) == 9
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cb33814cad442553a727b33195a516f4c961c4a6dba6d79e12de00842df7f070"
+        )
 
     def test_natural_over_sl2_rejected(self):
         with pytest.raises(SemanticError):
@@ -277,6 +301,21 @@ class TestScanCommand:
         assert data["generic_rank"] == 0
         assert data["findings"] == [{"delta": "0", "dimension": 2}]
 
+    def test_probe_input_reports_its_nonrational_factor(self, capsys, tmp_path, probe_json):
+        # every d has a 2-dimensional space; 2*d^2 - 1 is left unresolved
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(probe_json))
+        code, out, _ = run_cli(capsys, "scan", "--input", str(path))
+        assert code == 0
+        assert json.loads(out) == {
+            "generic_rank": 2,
+            "findings": [],
+            "nonrational_factors": ["-1 + 2*d^2"],
+        }
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--delta", "3/7")
+        assert code == 0
+        assert json.loads(out)["dimension"] == 2
+
 
 class TestDescribeAndRoundTrip:
     def test_descriptor_fixed_point(self, capsys):
@@ -433,3 +472,37 @@ class TestGoldenOutputs:
                                "--delta", delta)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # odd n carries the 52-bit pivot constants
+            (("verify", "--max-n", "8", "--format", "json"),
+             "39c832cb046069e3904a1df3dd93f1e1785329fcb8afb923fc030c5471be04c8"),
+            (("scan", "--algebra", "sl2", "--module", "V(7)"),
+             "bdae6b7d9e1859bd02a282df4287e42ee77d1d35d24c33d84b91de526ed240a8"),
+        ],
+    )
+    def test_root_isolation_stdout(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_commands_run_without_importing_sympy():
+    """sympy costs about 0.3 s and 36 MB on import; the command line needs none of it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from deltader.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', '--max-n', '8']) == 0\n"
+        "    assert main(['scan', '--algebra', 'sl2 o+ sl2',\n"
+        "                 '--module', 'V(2) (x) V(0) o+ V(0) (x) V(1)']) == 0\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    src = str(Path(deltader.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -1,8 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from deltader import delta_solver
+from deltader.cli import parse_algebra_descriptor, parse_module_descriptor
 from deltader.delta_solver import (
     ShapeMismatch,
     assemble_system,
@@ -13,6 +16,7 @@ from deltader.delta_solver import (
     scan,
     solve,
 )
+from deltader.exact_arith import Poly
 from deltader.lie_core import (
     AlgebraMismatch,
     adjoint_module,
@@ -212,6 +216,73 @@ class TestScan:
         rep = adjoint_module(solvable)
         report = scan(solvable, rep, include_zero=True)
         assert report.findings[F(0)] == 2
+
+    def test_probe_reports_its_nonrational_factor(self, probe):
+        report = scan(*probe)
+        assert report.findings == {}
+        assert report.generic_rank == 2
+        assert report.nonrational_factors == (Poly([-1, 0, 2]),)
+
+    def test_probe_drops_rank_at_the_irrational_roots(self, probe):
+        # independent oracle: sympy's exact rank of A + d*B at d = +-sqrt(2)/2
+        import sympy
+
+        system = assemble_system(*probe)
+        assert system.cols == 4
+
+        def rank_at(d):
+            rows = [
+                [arow.get(c, 0) + d * brow.get(c, 0) for c in range(system.cols)]
+                for arow, brow in zip(system.a_part, system.b_part)
+            ]
+            return sympy.Matrix(rows).rank(simplify=True)
+
+        for d in (sympy.sqrt(2) / 2, -sympy.sqrt(2) / 2):
+            assert rank_at(d) == 1
+        assert rank_at(sympy.Rational(3, 7)) == 2
+
+
+def _pencil_of(L, V, monkeypatch):
+    """The pivots and generic rank that scan's pencil elimination returns."""
+    seen = []
+    real = delta_solver.pencil_eliminate
+
+    def capture(rows, ncols):
+        seen.append(real(rows, ncols))
+        return seen[-1]
+
+    monkeypatch.setattr(delta_solver, "pencil_eliminate", capture)
+    scan(L, V)
+    (result,) = seen
+    return result
+
+
+class TestPencilPivots:
+    """The full pivot sequence of scan's pencil, pinned: count, rank, sha256 of the list."""
+
+    @pytest.mark.parametrize(
+        "algebra, module, count, digest",
+        [
+            ("sl2", "V(7)", 24,
+             "1caf77806fe7f3bcee3f57ac9636f8322c68feaa6d81d4df9749d4cb32150806"),
+            ("sl3", "adjoint", 64,
+             "4243b32721ac84431f42f087725d823535830a1539c6e00c1648dae94b1561a4"),
+            ("sl2 o+ sl2", "V(3) (x) V(0) o+ V(0) (x) V(2)", 42,
+             "80f1591c0110de4488463d4229e11c3b9704d576b723f5d76f0d098a3276530e"),
+        ],
+    )
+    def test_builtin_pivots(self, monkeypatch, algebra, module, count, digest):
+        L, parts = parse_algebra_descriptor(algebra)
+        V, _ = parse_module_descriptor(module, L, parts)
+        pivots, rank = _pencil_of(L, V, monkeypatch)
+        assert rank == len(pivots) == count
+        text = ";".join(str(p) for p in pivots)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_probe_pivots(self, probe, monkeypatch):
+        pivots, rank = _pencil_of(*probe, monkeypatch)
+        assert rank == 2
+        assert pivots == [Poly([1]), Poly([1, 0, -2])]
 
 
 class TestInnerDerivations:

@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltader.exact_arith import (
     Poly,
+    _divisors,
     _factorize,
     format_rational,
     parse_rational,
@@ -46,6 +49,54 @@ def naive_rational_roots(coeffs):
                 if value(cand) == 0:
                     roots.add(cand)
     return sorted(roots, key=lambda r: (r.numerator, r.denominator))
+
+
+def divisor_pair_rational_roots(p):
+    """All rational roots by the plain rational root test, for any size.
+
+    Every +-a/b with a dividing the trailing and b the leading coefficient
+    of the integer-normalized polynomial is evaluated in Fractions, with no
+    divisibility filter.
+    """
+    q = poly_normalize(p)
+    low = next(k for k, c in enumerate(q.coeffs) if c)
+    roots = {Fraction(0)} if low else set()
+    q = Poly(q.coeffs[low:])
+    if q.degree >= 1:
+        candidates = {
+            Fraction(sign * a, b)
+            for a in _divisors(abs(int(q.coeffs[0])))
+            for b in _divisors(abs(int(q.coeffs[-1])))
+            for sign in (1, -1)
+        }
+        roots.update(x for x in candidates if poly_eval(q, x) == 0)
+    return sorted(roots, key=lambda r: (r.numerator, r.denominator))
+
+
+BOUND = 2**20
+
+
+@st.composite
+def factored_polynomials(draw):
+    """Products of (b*d - s) with |s|, |b| <= 2^20, scaled by a Fraction.
+
+    Draws in roots +-1, the root 0 with multiplicity, repeated roots, an
+    optional rootless cofactor d^2 + k, and negative or non-integer scalings.
+    """
+    nonzero = st.integers(-BOUND, BOUND).filter(bool)
+    linear = st.one_of(
+        st.tuples(nonzero, nonzero),
+        st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]),
+    )
+    factors = draw(st.lists(linear, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        factors = [factors[0], factors[0]]
+    p = Poly([Fraction(draw(nonzero), draw(st.integers(1, BOUND)))])
+    for s, b in factors:
+        p = p * Poly([-s, b])
+    if draw(st.booleans()):
+        p = p * Poly([draw(st.integers(1, BOUND)), 0, 1])
+    return p * Poly([0] * draw(st.integers(0, 3)) + [1])
 
 
 class TestRationalScalars:
@@ -201,3 +252,32 @@ class TestRationalRoots:
             p = Poly(coeffs)
             for r in poly_rational_roots(p):
                 assert poly_eval(p, r) == 0
+
+    def test_roots_plus_and_minus_one(self):
+        # (d - 1) and (d + 1) make b - s = 0 and b + s = 0: a divisibility
+        # test is skipped there, and the value must decide
+        p = Poly([-1, 1]) * Poly([1, 1]) * Poly([-3, 7])
+        assert poly_rational_roots(p) == [Fraction(-1), Fraction(1), Fraction(3, 7)]
+        assert poly_rational_roots(Poly([-1, 1]) * Poly([1, 0, 1])) == [Fraction(1)]
+        assert poly_rational_roots(Poly([1, 1]) * Poly([1, 1])) == [Fraction(-1)]
+
+    def test_non_reduced_pairs_give_one_root(self):
+        # q(0) = -2 and leading coefficient 2: the pair 2/2 repeats 1/1
+        p = Poly([-1, 2]) * Poly([-2, 1]) * Poly([-1, 1])
+        assert poly_rational_roots(p) == [Fraction(1), Fraction(1, 2), Fraction(2)]
+
+    def test_pivot_sized_constants(self):
+        # two 26-bit roots make a 52-bit constant, as in the pivots of sl2 V(n)
+        r1, r2 = Fraction(-(2**25 + 35), 3), Fraction(2**26 - 5, 2**20 + 7)
+        p = Poly([-r1, 1]) * Poly([-r2, 1]) * Poly([2**20 + 1, 0, 1])
+        assert poly_rational_roots(p) == sorted([r1, r2], key=lambda r: (r.numerator, r.denominator))
+
+    @settings(max_examples=50, deadline=None)
+    @given(factored_polynomials())
+    @example(Poly([0, 0, -1, 0, 1]))  # d^2 (d - 1)(d + 1)
+    @example(Poly([-(BOUND**2), 0, BOUND**2]))  # b - s and b + s both 0 after content
+    def test_products_of_linear_factors_against_divisor_pairs(self, p):
+        roots = poly_rational_roots(p)
+        assert roots == divisor_pair_rational_roots(p)
+        for r in roots:
+            assert poly_eval(p, r) == 0
