@@ -27,10 +27,7 @@ from .delta_solver import (
 )
 from .exact_arith import (
     Poly,
-    Rational,
-    format_rational,
     parse_rational,
-    poly_eval,
     poly_normalize,
     poly_rational_roots,
 )
@@ -58,7 +55,6 @@ __all__ = [
     "ExpectedFamily",
     "LieAlgebra",
     "Poly",
-    "Rational",
     "Representation",
     "ScanReport",
     "VerifyReport",
@@ -68,13 +64,11 @@ __all__ = [
     "direct_sum_algebras",
     "direct_sum_modules",
     "expected_sl2_basis",
-    "format_rational",
     "inner_derivations",
     "invariants",
     "is_delta_derivation",
     "kernel_at",
     "parse_rational",
-    "poly_eval",
     "poly_normalize",
     "poly_rational_roots",
     "scan",

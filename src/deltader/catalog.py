@@ -46,13 +46,6 @@ CASE_MINUS_TWO_OVER_N = "minus_two_over_n"
 CASE_TWO_OVER_N_PLUS_TWO = "two_over_n_plus_two"
 CASE_ONE_HALF = "one_half"
 
-ALL_CASES = (
-    CASE_DELTA_ONE,
-    CASE_MINUS_TWO_OVER_N,
-    CASE_TWO_OVER_N_PLUS_TWO,
-    CASE_ONE_HALF,
-)
-
 
 @dataclass(frozen=True)
 class ExpectedFamily:
@@ -135,13 +128,8 @@ def paper_weight_from_raw(raw: Fraction, n: int) -> Fraction:
     return -(Fraction(raw) + n) / 2
 
 
-# The equivalence of the (n=2) irreducible module with the adjoint module:
-# columns are the images of (e-, h, e+) in the v-basis.
-_V2_FROM_ADJOINT = (
-    (Fraction(0), Fraction(0), Fraction(-1)),
-    (Fraction(0), Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(0), Fraction(0)),
-)
+# The equivalence of the (n=2) irreducible module with the adjoint module,
+# from v-coordinates to (e-, h, e+) coordinates.
 _ADJOINT_FROM_V2 = (
     (Fraction(0), Fraction(0), Fraction(1)),
     (Fraction(0), Fraction(1), Fraction(0)),

@@ -12,7 +12,8 @@ normalized to the ASCII ones on output.  Rational arguments are written
 p/q (or just p); decimal notation is rejected.  Output is byte
 deterministic for identical input.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+check failure (a bug).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, delta_solver, lie_core
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import parse_rational
 from .lie_core import (
     AlgebraMismatch,
     HomomorphismViolation,
@@ -230,7 +231,7 @@ def algebra_to_json(alg: LieAlgebra) -> dict:
     brackets = []
     for (i, j), terms in sorted(alg.structure.items()):
         for k, c in terms:
-            brackets.append([i, j, k, format_rational(c)])
+            brackets.append([i, j, k, str(c)])
     return {
         "dim": alg.dim,
         "brackets": brackets,
@@ -243,7 +244,7 @@ def module_to_json(rep: Representation) -> dict:
     out = {
         "dim": rep.dim_v,
         "action": [
-            [[format_rational(x) for x in row] for row in mat] for mat in rep.action
+            [[str(x) for x in row] for row in mat] for mat in rep.action
         ],
     }
     if rep.weight_labels is not None:
@@ -333,19 +334,19 @@ def _render_map(D, labels) -> str:
 
 def _space_to_json(space: delta_solver.DerivationSpace) -> dict:
     out = {
-        "delta": format_rational(space.delta),
+        "delta": str(space.delta),
         "dimension": space.dimension,
         "basis": [
-            [[format_rational(x) for x in row] for row in D] for D in space.basis
+            [[str(x) for x in row] for row in D] for D in space.basis
         ],
     }
     if space.weights is not None:
-        out["weights"] = [format_rational(w) for w in space.weights]
+        out["weights"] = [str(w) for w in space.weights]
     return out
 
 
 def _space_to_text(space: delta_solver.DerivationSpace, labels) -> str:
-    lines = [f"delta: {format_rational(space.delta)}", f"dimension: {space.dimension}"]
+    lines = [f"delta: {space.delta}", f"dimension: {space.dimension}"]
     for t, D in enumerate(space.basis):
         tag = f" (weight {space.weights[t]})" if space.weights is not None else ""
         lines.append(f"  [{t}] {_render_map(D, labels)}{tag}")
@@ -356,7 +357,7 @@ def _scan_to_json(report: delta_solver.ScanReport) -> dict:
     return {
         "generic_rank": report.generic_rank,
         "findings": [
-            {"delta": format_rational(d), "dimension": dim}
+            {"delta": str(d), "dimension": dim}
             for d, dim in report.findings.items()
         ],
         "nonrational_factors": [str(p) for p in report.nonrational_factors],
@@ -366,7 +367,7 @@ def _scan_to_json(report: delta_solver.ScanReport) -> dict:
 def _scan_to_text(report: delta_solver.ScanReport) -> str:
     lines = [f"generic rank: {report.generic_rank}", "delta      dimension"]
     for d, dim in report.findings.items():
-        lines.append(f"{format_rational(d):<10} {dim}")
+        lines.append(f"{str(d):<10} {dim}")
     if report.nonrational_factors:
         lines.append("unresolved factors: " + "; ".join(str(p) for p in report.nonrational_factors))
     else:
@@ -547,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except delta_solver.VerificationFailure as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

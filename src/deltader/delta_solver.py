@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact_arith import Poly, poly_normalize, poly_rational_roots
+from .exact_arith import Poly, pdivexact, poly_normalize, poly_rational_roots
 from .lie_core import (
     AlgebraMismatch,
     LieAlgebra,
@@ -101,7 +101,7 @@ class DerivationSpace:
     ``basis[t][a][m]`` is the m-th coordinate of the image of e_a under the
     t-th basis map.  The flattened basis is in reduced echelon form under
     the fixed column order.  ``weights`` carries one grading eigenvalue per
-    basis element when the space was computed blockwise.
+    basis element when ``solve`` was given a grading element.
     """
 
     delta: Fraction
@@ -206,9 +206,7 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
     return True, None
 
 
-def _space_from_vectors(
-    system: DerivationSystem, delta: Fraction, vectors, weights=None
-) -> DerivationSpace:
+def _space_from_vectors(system: DerivationSystem, delta: Fraction, vectors) -> DerivationSpace:
     dim, dim_v = system.algebra.dim, system.module.dim_v
     maps = tuple(vector_to_map(v, dim, dim_v) for v in vectors)
     for D in maps:
@@ -217,7 +215,7 @@ def _space_from_vectors(
             raise VerificationFailure(
                 f"kernel element fails the defining equation at pair {witness[:2]}"
             )
-    return DerivationSpace(delta=Fraction(delta), basis=maps, weights=weights)
+    return DerivationSpace(delta=Fraction(delta), basis=maps)
 
 
 def kernel_at(system: DerivationSystem, delta) -> DerivationSpace:
@@ -236,12 +234,11 @@ def solve(
     """Compute the twisted-derivation space at one rational value.
 
     With ``use_grading`` set to the index of a basis element whose adjoint
-    and module actions are diagonal, the system splits into independent
-    blocks: a map sends each eigenvalue-b slice of L into the (b - a) slice
-    of V for its own weight a, so columns group by
-    eigenvalue(a) - eigenvalue(m) and every equation touches exactly one
-    group.  The blockwise kernel equals the ungraded kernel; basis elements
-    are tagged with their block weight.
+    and module actions are diagonal, the column of coordinate m of D(e_a)
+    has the weight eigenvalue(a) - eigenvalue(m), and no equation couples
+    two weights.  The elimination therefore never mixes them, every
+    canonical basis element is homogeneous, and each is tagged with its
+    weight (a basis element that is not homogeneous is an internal error).
 
     Degenerate inputs behave as the equations dictate: a one-dimensional
     algebra has no basis pairs, hence no equations, and every map
@@ -251,45 +248,21 @@ def solve(
     system = assemble_system(L, V)
     if use_grading is None:
         return kernel_at(system, delta)
-    delta = Fraction(delta)
-    decomposition = weight_decomposition(L, V, use_grading)
     lam: dict[int, Fraction] = {}
     mu: dict[int, Fraction] = {}
-    for w, alg_idx, mod_idx in decomposition:
+    for w, alg_idx, mod_idx in weight_decomposition(L, V, use_grading):
         for a in alg_idx:
             lam[a] = w
         for m in mod_idx:
             mu[m] = w
-    dim_v = V.dim_v
-    col_weight = [lam[c // dim_v] - mu[c % dim_v] for c in range(system.cols)]
-    groups: dict[Fraction, list[int]] = {}
-    position = [0] * system.cols  # index of a column inside its group
-    for c, w in enumerate(col_weight):
-        position[c] = len(groups.setdefault(w, []))
-        groups[w].append(c)
-    blocks: dict[Fraction, list[dict[int, int]]] = {w: [] for w in groups}
-    for row in system.specialize(delta):
-        if not row:
-            continue
-        w = col_weight[next(iter(row))]
-        if any(col_weight[c] != w for c in row):
-            raise VerificationFailure("equation couples distinct grading blocks")
-        blocks[w].append({position[c]: x for c, x in row.items()})
-    # blocks have disjoint columns, so their canonical bases together are
-    # the canonical basis of the whole kernel once sorted by leading column
-    found = []
-    zero = Fraction(0)
-    for w, cols in groups.items():
-        for kernel_vec in nullspace_bareiss(blocks[w], len(cols)):
-            full = [zero] * system.cols
-            for c, x in zip(cols, kernel_vec):
-                full[c] = x
-            lead = next(c for c, x in zip(cols, kernel_vec) if x)
-            found.append((lead, tuple(full), w))
-    found.sort(key=lambda item: item[0])
-    final = [v for _, v, _ in found]
-    weights = tuple(w for _, _, w in found)
-    return _space_from_vectors(system, delta, final, weights=weights)
+    space = kernel_at(system, delta)
+    weights = []
+    for D in space.basis:
+        found = {lam[a] - mu[m] for a, row in enumerate(D) for m, x in enumerate(row) if x}
+        if len(found) != 1:
+            raise VerificationFailure("kernel element is not homogeneous for the grading")
+        weights.append(found.pop())
+    return DerivationSpace(delta=space.delta, basis=space.basis, weights=tuple(weights))
 
 
 def inner_derivations(L: LieAlgebra, V: Representation) -> DerivationSpace:
@@ -309,10 +282,21 @@ def inner_derivations(L: LieAlgebra, V: Representation) -> DerivationSpace:
 
 
 def _strip_rational_roots(p: Poly, roots) -> Poly:
+    """Divide out b*d - s for every root s/b, as often as it divides.
+
+    By Gauss's lemma b*d - s divides the integer polynomial p in ZZ[d]
+    whenever s/b is a root, so exact integer division suffices; a division
+    that leaves a remainder means the root is gone.
+    """
+    cs = p.coeffs
     for r in roots:
-        while p.degree >= 1 and p(r) == 0:
-            p = p.deflate(r)
-    return p
+        factor = (-r.numerator, r.denominator)
+        while len(cs) > 1:
+            try:
+                cs = pdivexact(cs, factor)
+            except ArithmeticError:
+                break
+    return Poly(cs)
 
 
 def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanReport:

@@ -1,19 +1,22 @@
-"""Exact scalars and univariate polynomials over the rationals.
+"""Exact scalars and univariate integer polynomials.
 
-Scalars are ``fractions.Fraction`` values (aliased ``Rational``), which are
-always kept in canonical form: positive denominator, reduced, zero as 0/1.
-Polynomials are immutable coefficient lists, lowest degree first, with the
-indeterminate printed as ``d``.  No floating point is used anywhere.
+Scalars are ``fractions.Fraction`` values, which are always kept in
+canonical form: positive denominator, reduced, zero as 0/1.  Polynomials
+in ``d`` have integer coefficients: the pivots of the pencil over ZZ[d]
+are integer polynomials, and so is every factor the scan splits off them.
+A polynomial is a trimmed tuple of ints, lowest degree first, with ``()``
+the zero polynomial.  ``Poly`` wraps one for the pivots and the scan's
+report; the tuple functions below work on the raw tuples, so that the
+pencil's inner loop creates no objects but tuples.
+No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
@@ -29,25 +32,82 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def format_rational(q: Fraction) -> str:
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    return str(q)
+Coeffs = tuple[int, ...]  # trimmed, lowest degree first; () is the zero polynomial
+
+
+def _ptrim(cs: list[int]) -> Coeffs:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def pmul(a: Coeffs, b: Coeffs) -> Coeffs:
+    if not a or not b:
+        return ()
+    if len(a) == 1:  # from a list: a tuple built from an iterator raised the peak memory
+        return tuple([a[0] * y for y in b])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _ptrim(out)
+
+
+def psub(a: Coeffs, b: Coeffs) -> Coeffs:
+    if not b:
+        return a
+    out = list(a) + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    return _ptrim(out)
+
+
+def pdivexact(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Exact division in ZZ[d]; raises ArithmeticError if it leaves a remainder."""
+    if not b:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if not a:
+        return ()
+    if len(b) == 1:  # the common case: the previous pivot is a constant
+        out = []
+        for x in a:
+            q, r = divmod(x, b[0])
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            out.append(q)
+        return tuple(out)
+    rem = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    blead = b[-1]
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[k + len(b) - 1], blead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if q:
+            out[k] = q
+            for j, y in enumerate(b):
+                rem[k + j] -= q * y
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return _ptrim(out)
 
 
 class Poly:
-    """Univariate polynomial with Fraction coefficients, lowest degree first.
+    """Univariate polynomial with integer coefficients, lowest degree first.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.  Instances are immutable and hashable.
+    leading coefficient is nonzero.  Any other coefficient type is
+    rejected rather than truncated.  Instances are immutable and hashable.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, coeffs: Iterable[int] = ()):
+        cs = list(coeffs)
+        if not all(isinstance(c, int) for c in cs):
+            raise TypeError(f"Poly coefficients must be integers, got {cs!r}")
+        object.__setattr__(self, "coeffs", _ptrim(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -71,49 +131,6 @@ class Poly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x) -> Fraction:
-        return poly_eval(self, x)
-
-    def deflate(self, root: Fraction) -> "Poly":
-        """Divide exactly by (d - root); raises ValueError unless root is a root."""
-        # synthetic division, highest coefficient first; the last carry is
-        # the remainder, the value at root
-        out = []
-        carry = Fraction(0)
-        for c in reversed(self.coeffs):
-            carry = c + carry * root
-            out.append(carry)
-        if carry != 0:
-            raise ValueError(f"{root} is not a root")
-        return Poly(list(reversed(out[:-1])))
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -133,37 +150,24 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-def poly_eval(p: Poly, x) -> Fraction:
-    """Evaluate p at x by Horner's rule, exactly."""
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_normalize(p: Poly) -> Poly:
-    """Scale to coprime integer coefficients with positive leading one.
+    """The primitive part: coprime coefficients with positive leading one.
 
     The zero polynomial is a fixed point.  Normalization preserves the
     root set and is idempotent.
     """
     if p.is_zero():
         return p
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c * den for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c.numerator)
+    g = gcd(*p.coeffs)
     if p.coeffs[-1] < 0:
         g = -g
-    return Poly([c / g for c in ints])
+    return Poly([c // g for c in p.coeffs])
 
 
 def poly_rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p, sorted by (numerator, denominator).
 
-    Let q be p scaled to coprime integer coefficients, with its powers of d
+    Let q be p divided by the gcd of its coefficients, with its powers of d
     divided out (a zero constant term contributes the root 0).  Every
     rational root s/b in lowest terms has s dividing q(0) and b dividing the
     leading coefficient, and by Gauss's lemma q = (b*d - s) * r with r
@@ -179,11 +183,9 @@ def poly_rational_roots(p: Poly) -> list[Fraction]:
         raise ValueError("zero polynomial: every value is a root")
     if p.degree == 0:
         return []
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = gcd(*ints)
-    low = next(k for k, c in enumerate(ints) if c)
-    q = [c // g for c in ints[low:]]
+    g = gcd(*p.coeffs)
+    low = next(k for k, c in enumerate(p.coeffs) if c)
+    q = [c // g for c in p.coeffs[low:]]
     roots = [Fraction(0)] if low else []
     if len(q) > 1:
         at_one = sum(q)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact_arith import Poly
+from .exact_arith import Coeffs, Poly, pdivexact, pmul, psub
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -203,93 +203,18 @@ def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction
     return tuple(map(tuple, basis.values()))
 
 
-# ---------------------------------------------------------------------------
-# Integer polynomials (coefficient tuples, lowest degree first, () == 0),
-# used only by the pencil eliminator.  Kept separate from exact_arith.Poly
-# so the elimination inner loop works on raw ints.
-# ---------------------------------------------------------------------------
-
-IPoly = tuple[int, ...]
-
-
-def _ptrim(cs: list[int]) -> IPoly:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _pmul(a: IPoly, b: IPoly) -> IPoly:
-    if not a or not b:
-        return ()
-    if len(a) == 1:  # from a list: a tuple built from an iterator raised the peak memory
-        return tuple([a[0] * y for y in b])
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a: IPoly, b: IPoly) -> IPoly:
-    if not b:
-        return a
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    return _ptrim(out)
-
-
-def _pdivexact(a: IPoly, b: IPoly) -> IPoly:
-    """Exact division in ZZ[d]; raises if the division leaves a remainder."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return ()
-    if len(b) == 1:  # the common case: the previous pivot is a constant
-        out = []
-        for x in a:
-            q, r = divmod(x, b[0])
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out.append(q)
-        return tuple(out)
-    rem = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    blead = b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        q, r = divmod(rem[k + len(b) - 1], blead)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        if q:
-            out[k] = q
-            for j, y in enumerate(b):
-                rem[k + j] -= q * y
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return _ptrim(out)
-
-
-def ipoly_from_poly(p: Poly) -> IPoly:
-    """Scale a rational polynomial to integer coefficients (content kept)."""
-    if p.is_zero():
-        return ()
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return tuple(int(c * den) for c in p.coeffs)
-
-
-def pencil_eliminate(rows: list[list[IPoly]], ncols: int) -> tuple[list[Poly], int]:
+def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], int]:
     """Fraction-free elimination over ZZ[d] on a polynomial matrix.
 
-    Returns the recorded pivot polynomials (as exact_arith.Poly, in pivot
-    order, unnormalized) and the rank over the rational function field.
+    Entries are coefficient tuples (see exact_arith).  Returns the recorded
+    pivot polynomials (in pivot order, unnormalized) and the rank over the rational function field.
     Pivot selection: minimal degree, ties broken by column then row index,
     which favors constant pivots and keeps recorded-pivot degrees low.
     """
     m = [list(r) for r in rows if any(r)]
     pivot_polys: list[Poly] = []
     t = 0
-    prev: IPoly = (1,)
+    prev: Coeffs = (1,)
     while t < len(m) and t < ncols:
         best = None
         for r in range(t, len(m)):
@@ -318,12 +243,12 @@ def pencil_eliminate(rows: list[list[IPoly]], ncols: int) -> tuple[list[Poly], i
             for j in range(t + 1, ncols):
                 x, y = row[j], top[j]
                 if mult and y:
-                    num = _psub(_pmul(piv, x), _pmul(mult, y))
+                    num = psub(pmul(piv, x), pmul(mult, y))
                 elif x:
-                    num = _pmul(piv, x)
+                    num = pmul(piv, x)
                 else:
                     continue
-                row[j] = _pdivexact(num, prev) if exact else num
+                row[j] = pdivexact(num, prev) if exact else num
             row[t] = ()
         m = m[: t + 1] + [r for r in m[t + 1 :] if any(r)]
         prev = piv

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import deltader
+from deltader import delta_solver
 from deltader.cli import (
     ParseError,
     SemanticError,
@@ -194,6 +195,19 @@ class TestSolveCommand:
         assert data["dimension"] == 1
         # raw eigenvalue difference of the single basis map's leading column
         assert data["weights"] == ["0"]
+
+    def test_internal_check_failure_exits_three(self, capsys, monkeypatch):
+        # a basis element failing the re-check is a bug, not a verify failure (1)
+        # and not an input error (2)
+        monkeypatch.setattr(delta_solver, "is_delta_derivation",
+                            lambda *args: (False, (0, 1, ())))
+        code, out, err = run_cli(capsys, "solve", "--algebra", "sl2", "--module", "V(2)",
+                                 "--delta", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal check failed: kernel element fails the defining " \
+                      "equation at pair (0, 1)\n"
+        assert "Traceback" not in err
 
     def test_table_output(self, capsys):
         code, out, _ = run_cli(
@@ -481,10 +495,25 @@ class TestGoldenOutputs:
              "39c832cb046069e3904a1df3dd93f1e1785329fcb8afb923fc030c5471be04c8"),
             (("scan", "--algebra", "sl2", "--module", "V(7)"),
              "bdae6b7d9e1859bd02a282df4287e42ee77d1d35d24c33d84b91de526ed240a8"),
+            # graded solves: the table form prints the "(weight w)" tags
+            (("solve", "--algebra", "sl2", "--module", "V(8)", "--delta", "-1/4",
+              "--grading-element", "1"),
+             "351ad7b8826ee9f29aa6e2a3ab076703d3383bb6bdae1aa7e2539fb9a3242444"),
+            (("solve", "--algebra", "sl2", "--module", "V(8)", "--delta", "-1/4",
+              "--grading-element", "1", "--format", "table"),
+             "def512a91f2de4b25895926750ad0c2180c947d3885b6dbce292d9a1436c53c2"),
+            (("solve", "--algebra", "sl3", "--module", "adjoint", "--delta", "1",
+              "--grading-element", "3"),
+             "af263bccdc5e4a393af6ed785aae65814563688d47837e350cdfb773e74195a2"),
+            # the "unresolved factors: -1 + 2*d^2" line
+            (("scan", "--input", "PROBE", "--format", "table"),
+             "a382e6e2c1cb81b7ea71de226d447c53b1360c4be416a8ecc01ce0caf6f65276"),
         ],
     )
-    def test_root_isolation_stdout(self, capsys, argv, digest):
-        code, out, _ = run_cli(capsys, *argv)
+    def test_root_isolation_stdout(self, capsys, tmp_path, probe_json, argv, digest):
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(probe_json))
+        code, out, _ = run_cli(capsys, *(str(path) if a == "PROBE" else a for a in argv))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

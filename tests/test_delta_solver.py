@@ -132,6 +132,18 @@ class TestSolve:
                 assert graded.weights is not None
                 assert len(graded.weights) == graded.dimension
 
+    def test_inhomogeneous_basis_element_is_an_internal_error(self, sl2, v_modules,
+                                                              monkeypatch):
+        # the sum of two basis maps of different weight is not homogeneous
+        real = kernel_at(assemble_system(sl2, v_modules[2]), F(1))
+        mixed = tuple(
+            tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(*real.basis[:2])
+        )
+        fake = delta_solver.DerivationSpace(delta=F(1), basis=(mixed,) + real.basis[1:])
+        monkeypatch.setattr(delta_solver, "kernel_at", lambda system, delta: fake)
+        with pytest.raises(delta_solver.VerificationFailure):
+            solve(sl2, v_modules[2], F(1), use_grading=1)
+
     def test_graded_weights_match_table(self, sl2):
         n = 3
         space = solve(sl2, sl2_module(n), F(-2, n), use_grading=1)

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader.exact_arith import Poly
+from deltader.exact_arith import pdivexact, pmul, psub
 from deltader.linalg import (
-    _pdivexact,
-    _pmul,
-    _psub,
     canonical_basis,
     identity,
-    ipoly_from_poly,
     kron,
     mat_mul,
     nullspace_bareiss,
@@ -175,23 +171,19 @@ class TestKron:
 
 class TestIntPolynomials:
     def test_mul_and_sub(self):
-        assert _pmul((1, 1), (1, 1)) == (1, 2, 1)
-        assert _psub((1, 2, 1), (1, 2, 1)) == ()
-        assert _pmul((), (1, 2)) == ()
+        assert pmul((1, 1), (1, 1)) == (1, 2, 1)
+        assert psub((1, 2, 1), (1, 2, 1)) == ()
+        assert pmul((), (1, 2)) == ()
 
     def test_exact_division(self):
-        assert _pdivexact((1, 2, 1), (1, 1)) == (1, 1)
+        assert pdivexact((1, 2, 1), (1, 1)) == (1, 1)
         with pytest.raises(ArithmeticError):
-            _pdivexact((1, 1), (2,))
+            pdivexact((1, 1), (2,))
 
     def test_division_by_zero_polynomial(self):
         for a in ((1, 1), ()):
             with pytest.raises(ZeroDivisionError):
-                _pdivexact(a, ())
-
-    def test_ipoly_round_trip(self):
-        p = Poly([F(1, 2), F(-1, 3)])
-        assert ipoly_from_poly(p) == (3, -2)
+                pdivexact(a, ())
 
 
 class TestPencilEliminate:
