@@ -500,7 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--grading-element",
                 dest="grading_element",
                 type=int,
-                help="basis index of a diagonal element; solve blockwise",
+                help="basis index of a diagonal element; tag each basis element "
+                "with its weight under it",
             )
         if with_scan_flags:
             p.add_argument("--include-zero", dest="include_zero", action="store_true")

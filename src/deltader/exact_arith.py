@@ -7,7 +7,9 @@ are integer polynomials, and so is every factor the scan splits off them.
 A polynomial is a trimmed tuple of ints, lowest degree first, with ``()``
 the zero polynomial.  ``Poly`` wraps one for the pivots and the scan's
 report; the tuple functions below work on the raw tuples, so that the
-pencil's inner loop creates no objects but tuples.
+pencil's inner loop creates no objects but tuples.  Rational roots are
+found by p-adic lifting and rational reconstruction, and each is confirmed
+by an exact integer evaluation; no integer is ever factored.
 No floating point is used anywhere.
 """
 
@@ -15,13 +17,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-# Trial division handles cofactors below this; anything larger goes to sympy.
-_TRIAL_LIMIT = 100_000
 
 
 def parse_rational(text: str) -> Fraction:
@@ -167,78 +166,89 @@ def poly_normalize(p: Poly) -> Poly:
 def poly_rational_roots(p: Poly) -> list[Fraction]:
     """All rational roots of p, sorted by (numerator, denominator).
 
-    Let q be p divided by the gcd of its coefficients, with its powers of d
-    divided out (a zero constant term contributes the root 0).  Every
-    rational root s/b in lowest terms has s dividing q(0) and b dividing the
-    leading coefficient, and by Gauss's lemma q = (b*d - s) * r with r
-    integral, so (b - s) divides q(1) and (b + s) divides q(-1).  Each
-    coprime divisor pair +-s/b is tested: it is rejected when one of those
-    two divisibilities fails (a test is skipped when its divisor is 0),
-    and otherwise confirmed by the exact integer value
-    sum q_k s^k b^(n-k) = b^n q(s/b).  No Fraction is built until a root is
-    confirmed.  The zero polynomial is rejected since every value is a root
-    of it.
+    Let q be the primitive part of p with its powers of d divided out (a
+    zero constant term contributes the root 0), and f = q / gcd(q, q') its
+    square-free part.  Nothing is factored; the roots come from a p-adic
+    expansion (R. Loos, SIAM J. Comput. 12, 1983):
+
+    * Take the smallest odd prime l not dividing lc(f) at which every root
+      r of f mod l, found by evaluating f at 0..l-1, has f'(r) != 0 mod l.
+      Such an l exists because f is square-free: only the primes dividing
+      lc(f) * disc(f) fail.
+    * Newton-lift each root to a modulus m > 2 |lc f| |f(0)|, and run
+      extended Euclid on (m, r) up to the first remainder <= |f(0)|.  This
+      gives at most one candidate s/b per root.
+    * Keep the candidate only if 0 < b <= |lc f|, gcd(s, b) = 1 and the
+      exact integer value sum f_k s^k b^(n-k) = b^n f(s/b) is 0.
+
+    This is complete.  A rational root s/b in lowest terms has b dividing
+    lc(f) and s dividing f(0) (Gauss's lemma), so l does not divide b and
+    s/b reduces to a root of f mod l, which is simple.  By Hensel's lemma
+    its lift mod m is unique, so it is s/b mod m, and since m > 2 |s| b
+    rational reconstruction recovers s/b.  Every reported root is confirmed
+    exactly, and no floating point is used.  The zero polynomial is rejected
+    since every value is a root of it.
     """
     if p.is_zero():
         raise ValueError("zero polynomial: every value is a root")
-    if p.degree == 0:
-        return []
     g = gcd(*p.coeffs)
     low = next(k for k, c in enumerate(p.coeffs) if c)
-    q = [c // g for c in p.coeffs[low:]]
+    q = tuple(c // g for c in p.coeffs[low:])
     roots = [Fraction(0)] if low else []
     if len(q) > 1:
-        at_one = sum(q)
-        at_minus_one = sum(q[0::2]) - sum(q[1::2])
-        numerators = _divisors(abs(q[0]))
-        for b in _divisors(abs(q[-1])):
-            # q_k * b^(n-k) for n = deg q, leading term first
-            scaled = [c * b**j for j, c in enumerate(reversed(q))]
-            for a in numerators:
-                if gcd(a, b) != 1:
-                    continue
-                for s in (a, -a):
-                    if b != s and at_one % (b - s):
-                        continue
-                    if b != -s and at_minus_one % (b + s):
-                        continue
-                    value = 0
-                    for c in scaled:
-                        value = value * s + c
-                    if value == 0:
-                        roots.append(Fraction(s, b))
+        f = pdivexact(q, _gcd_prs(q, _derivative(q)))
+        lead, const = abs(f[-1]), abs(f[0])
+        df = _derivative(f)
+        prime = 1
+        while True:
+            prime += 2
+            if f[-1] % prime and all(prime % k for k in range(3, isqrt(prime) + 1, 2)):
+                residues = [x for x in range(prime) if not _value_mod(f, x, prime)]
+                if all(_value_mod(df, x, prime) for x in residues):
+                    break
+        for r in residues:
+            m = prime
+            while m <= 2 * lead * const:
+                m *= m
+                r = (r - _value_mod(f, r, m) * pow(_value_mod(df, r, m), -1, m)) % m
+            r0, r1, t0, t1 = m, r, 0, 1
+            while r1 > const:
+                k = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+            s, b = (r1, t1) if t1 > 0 else (-r1, -t1)
+            if b > lead or gcd(s, b) != 1:
+                continue
+            value, power = 0, 1
+            for c in reversed(f):
+                value = value * s + c * power
+                power *= b
+            if value == 0:
+                roots.append(Fraction(s, b))
     return sorted(roots, key=lambda r: (r.numerator, r.denominator))
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n > 0.  Large hard cofactors go to sympy."""
-    if n <= 0:
-        raise ValueError(f"can only factor positive integers, got {n}")
-    factors: dict[int, int] = {}
-    for d in (2, 3, 5):
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-    d = 7
-    while d * d <= n and d < _TRIAL_LIMIT:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        if d * d > n:
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            from sympy import factorint
-
-            for prime, exp in factorint(n).items():
-                factors[int(prime)] = factors.get(int(prime), 0) + exp
-    return factors
+def _derivative(a: Coeffs) -> Coeffs:
+    return tuple(k * c for k, c in enumerate(a) if k)
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors of n, ascending; n must be positive."""
-    divs = [1]
-    for prime, exp in _factorize(n).items():
-        divs = [d * prime**e for d in divs for e in range(exp + 1)]
-    return sorted(divs)
+def _value_mod(a: Coeffs, x: int, m: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = (value * x + c) % m
+    return value
+
+
+def _gcd_prs(a: Coeffs, b: Coeffs) -> Coeffs:
+    """A gcd of a and b in ZZ[d], primitive up to sign, for primitive a: a primitive PRS."""
+    while b:
+        g = gcd(*b)
+        b = tuple(c // g for c in b)
+        r = list(a)  # the pseudo-remainder of a by b, up to a nonzero constant factor
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for j, y in enumerate(b):
+                r[shift + j] -= c * y
+            _ptrim(r)
+        a, b = b, tuple(r)
+    return a

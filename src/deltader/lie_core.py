@@ -208,13 +208,6 @@ class Representation:
     def action_matrix(self, i: int) -> Mat:
         return [list(row) for row in self.action[i]]
 
-    def act(self, i: int, v: Vec) -> Vec:
-        """e_i . v as a coordinate vector."""
-        return [
-            sum((row[m] * v[m] for m in range(self.dim_v) if v[m]), Fraction(0))
-            for row in self.action[i]
-        ]
-
 
 def _freeze_matrix(m: Mat) -> tuple:
     return tuple(tuple(Fraction(x) for x in row) for row in m)
@@ -450,7 +443,8 @@ def weight_decomposition(
     Requires ad(e_h) and rho(e_h) to already be diagonal in the given bases
     (checked, never diagonalized).  Returns (eigenvalue, algebra indices,
     module indices) triples sorted by eigenvalue; these define the grading
-    used to block the derivation solver.  Eigenvalues are reported raw.
+    whose weights tag the basis of the derivation space.  Eigenvalues are
+    reported raw.
     """
     if not 0 <= h_index < L.dim:
         raise IndexOutOfRange(f"no basis element {h_index}")

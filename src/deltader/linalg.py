@@ -41,22 +41,6 @@ def identity(n: int) -> Mat:
     return m
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            s = ai[k]
-            if s:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += s * bk[j]
-    return out
-
-
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product with row-major index pairing (i_a, i_b)."""
     ra, ca = len(a), len(a[0]) if a else 0
@@ -96,10 +80,6 @@ def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
         if r == len(m):
             break
     return m, pivots
-
-
-def rank(rows: list[Vec]) -> int:
-    return len(rref(rows)[1])
 
 
 def canonical_basis(vectors: list[Vec]) -> tuple[tuple[Fraction, ...], ...]:

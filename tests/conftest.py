@@ -42,11 +42,15 @@ def F(a, b=1):
 
 @pytest.fixture(scope="session")
 def probe_json():
-    """The probe below as ``--input`` JSON."""
-    return {
-        "algebra": {"dim": 2, "brackets": [[0, 1, 1, "1"]]},
-        "module": {"dim": 2, "action": [[["0", "2"], ["1", "0"]], [["0", "0"], ["0", "0"]]]},
-    }
+    """The probe below as ``--input`` JSON, with n in place of rho(x)'s entry 2."""
+
+    def payload(n=2):
+        return {
+            "algebra": {"dim": 2, "brackets": [[0, 1, 1, "1"]]},
+            "module": {"dim": 2, "action": [[["0", str(n)], ["1", "0"]], [["0", "0"], ["0", "0"]]]},
+        }
+
+    return payload
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,9 @@ from deltader.cli import (
 )
 
 F = Fraction
+
+# a 60-digit product of two Mersenne primes: far beyond trial division
+BIG_N = (2**89 - 1) * (2**107 - 1)
 
 
 def run_cli(capsys, *argv):
@@ -316,19 +321,23 @@ class TestScanCommand:
         assert data["findings"] == [{"delta": "0", "dimension": 2}]
 
     def test_probe_input_reports_its_nonrational_factor(self, capsys, tmp_path, probe_json):
-        # every d has a 2-dimensional space; 2*d^2 - 1 is left unresolved
+        # every d has a 2-dimensional space; n*d^2 - 1 is left unresolved, and
+        # finding that it has no rational root must not factor n
         path = tmp_path / "probe.json"
-        path.write_text(json.dumps(probe_json))
-        code, out, _ = run_cli(capsys, "scan", "--input", str(path))
-        assert code == 0
-        assert json.loads(out) == {
-            "generic_rank": 2,
-            "findings": [],
-            "nonrational_factors": ["-1 + 2*d^2"],
-        }
-        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--delta", "3/7")
-        assert code == 0
-        assert json.loads(out)["dimension"] == 2
+        for n in (2, BIG_N):
+            path.write_text(json.dumps(probe_json(n)))
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "scan", "--input", str(path))
+            assert time.perf_counter() - start < 1
+            assert code == 0
+            assert json.loads(out) == {
+                "generic_rank": 2,
+                "findings": [],
+                "nonrational_factors": [f"-1 + {n}*d^2"],
+            }
+            code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--delta", "3/7")
+            assert code == 0
+            assert json.loads(out)["dimension"] == 2
 
 
 class TestDescribeAndRoundTrip:
@@ -512,14 +521,16 @@ class TestGoldenOutputs:
     )
     def test_root_isolation_stdout(self, capsys, tmp_path, probe_json, argv, digest):
         path = tmp_path / "probe.json"
-        path.write_text(json.dumps(probe_json))
+        path.write_text(json.dumps(probe_json()))
         code, out, _ = run_cli(capsys, *(str(path) if a == "PROBE" else a for a in argv))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_commands_run_without_importing_sympy():
+def test_commands_run_without_importing_sympy(tmp_path, probe_json):
     """sympy costs about 0.3 s and 36 MB on import; the command line needs none of it."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(probe_json(BIG_N)))
     script = (
         "import contextlib, io, sys\n"
         "from deltader.cli import main\n"
@@ -527,11 +538,21 @@ def test_commands_run_without_importing_sympy():
         "    assert main(['verify', '--max-n', '8']) == 0\n"
         "    assert main(['scan', '--algebra', 'sl2 o+ sl2',\n"
         "                 '--module', 'V(2) (x) V(0) o+ V(0) (x) V(1)']) == 0\n"
+        "    assert main(['scan', '--input', sys.argv[1]]) == 0\n"
         "print('sympy' in sys.modules)\n"
     )
     src = str(Path(deltader.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_package_has_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+    test_extra = {re.match(r"[\w.-]+", r).group() for r in project["optional-dependencies"]["test"]}
+    assert {"sympy", "pytest", "hypothesis"} <= test_extra

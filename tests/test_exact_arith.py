@@ -3,13 +3,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deltader.exact_arith import (
     Poly,
-    _divisors,
-    _factorize,
     parse_rational,
     pdivexact,
     pmul,
@@ -86,8 +85,8 @@ def divisor_pair_rational_roots(p):
     if q.degree >= 1:
         candidates = {
             Fraction(sign * a, b)
-            for a in _divisors(abs(q.coeffs[0]))
-            for b in _divisors(abs(q.coeffs[-1]))
+            for a in sympy.divisors(q.coeffs[0])
+            for b in sympy.divisors(q.coeffs[-1])
             for sign in (1, -1)
         }
         roots.update(x for x in candidates if value_at(q, x) == 0)
@@ -199,11 +198,6 @@ class TestPolyBasics:
             pdivexact(p, (-5, 1))
         assert pdivexact((), (-3, 1)) == ()
 
-    def test_factorize_rejects_nonpositive(self):
-        for n in (0, -12):
-            with pytest.raises(ValueError):
-                _factorize(n)
-
 
 class TestNormalize:
     def test_content_removal(self):
@@ -303,6 +297,14 @@ class TestRationalRoots:
         p = times([-r1.numerator, r1.denominator], [-r2.numerator, r2.denominator],
                   [2**20 + 1, 0, 1])
         assert poly_rational_roots(p) == sorted([r1, r2], key=lambda r: (r.numerator, r.denominator))
+
+    def test_sixty_digit_coefficients(self):
+        # n is the product of two primes of 27 and 33 digits: no root may
+        # cost a factorization
+        n = (2**89 - 1) * (2**107 - 1)
+        assert poly_rational_roots(Poly([1, 0, -n])) == []
+        p = times([-(2**61 - 1), 2**89 - 1], [1, 0, 1])
+        assert poly_rational_roots(p) == [Fraction(2**61 - 1, 2**89 - 1)]
 
     @settings(max_examples=50, deadline=None)
     @given(factored_polynomials())

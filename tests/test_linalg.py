@@ -10,16 +10,18 @@ from deltader.linalg import (
     canonical_basis,
     identity,
     kron,
-    mat_mul,
     nullspace_bareiss,
     nullspace_gauss,
     pencil_eliminate,
-    rank,
     rref,
     spans_equal,
 )
 
 F = Fraction
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def random_matrix(rng, rows, cols):
@@ -75,8 +77,8 @@ class TestRref:
         assert pivots == [0, 1, 2]
 
     def test_rank(self):
-        assert rank([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]) == 2
-        assert rank([]) == 0
+        assert len(rref([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]])[1]) == 2
+        assert len(rref([])[1]) == 0
 
 
 class TestCanonicalBasis:
