@@ -244,7 +244,7 @@ def module_to_json(rep: Representation) -> dict:
     out = {
         "dim": rep.dim_v,
         "action": [
-            [[str(x) for x in row] for row in mat] for mat in rep.action
+            [[str(x) for x in row] for row in rep.action_matrix(i)] for i in range(len(rep.action))
         ],
     }
     if rep.weight_labels is not None:
@@ -289,13 +289,19 @@ def algebra_from_json(data) -> LieAlgebra:
 
 
 def module_from_json(data, algebra: LieAlgebra) -> Representation:
-    _require(isinstance(data, dict) and isinstance(data.get("action"), list)
-             and all(_lists(m) for m in data["action"]),
-             "'action' must be a list of matrices given as lists of rows")
+    """The module of a JSON object; its dense action matrices become sparse rows."""
+    _require(isinstance(data, dict) and "dim" in data, "'module' must be an object with 'dim'")
+    dim = _integer(data["dim"])
+    _require(isinstance(data.get("action"), list)
+             and all(_lists(m, dim) and len(m) == dim for m in data["action"]),
+             f"'action' must be a list of {dim} x {dim} matrices given as lists of rows")
     weights = data.get("weights")
     _require(weights is None or isinstance(weights, list), "'weights' must be a list")
-    matrices = [[[parse_rational(str(x)) for x in row] for row in m] for m in data["action"]]
-    return lie_core.representation_from_action(algebra, matrices, weights=weights)
+    actions = [
+        [{s: v for s, x in enumerate(row) if (v := parse_rational(str(x)))} for row in m]
+        for m in data["action"]
+    ]
+    return lie_core.representation_from_action(algebra, actions, dim, weights=weights)
 
 
 # ---------------------------------------------------------------------------

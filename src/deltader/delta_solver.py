@@ -29,13 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exact_arith import Poly, pdivexact, poly_normalize, poly_rational_roots
-from .lie_core import (
-    AlgebraMismatch,
-    LieAlgebra,
-    Representation,
-    sparse_rows,
-    weight_decomposition,
-)
+from .lie_core import AlgebraMismatch, LieAlgebra, Representation, weight_decomposition
 from .linalg import (
     Vec,
     canonical_basis,
@@ -147,15 +141,14 @@ def assemble_system(L: LieAlgebra, V: Representation) -> DerivationSystem:
         raise AlgebraMismatch("module is not a representation of this algebra")
     dim, dim_v = L.dim, V.dim_v
     pairs = tuple((i, j) for i in range(dim) for j in range(i + 1, dim))
-    action = [sparse_rows(m) for m in V.action]
     a_part = []
     b_part = []
     for i, j in pairs:
         terms = L.structure.get((i, j), ())
         for r in range(dim_v):
             a = {k * dim_v + r: c for k, c in terms}
-            b = {i * dim_v + m: x for m, x in action[j][r].items()}
-            for m, x in action[i][r].items():
+            b = {i * dim_v + m: x for m, x in V.action[j][r].items()}
+            for m, x in V.action[i][r].items():
                 b[j * dim_v + m] = -x
             den = lcm(*(x.denominator for part in (a, b) for x in part.values()))
             a_part.append({c: x.numerator * (den // x.denominator) for c, x in a.items()})
@@ -183,11 +176,10 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
         raise ShapeMismatch(f"map must be {dim} x {dim_v}")
     # columns[a][m]: the nonzero coordinates (r, x) of d * (e_a . v_m)
     columns = [[[] for _ in range(dim_v)] for _ in range(dim)]
-    for a, mat in enumerate(V.action):
-        for r, row in enumerate(mat):
-            for m, x in enumerate(row):
-                if x:
-                    columns[a][m].append((r, delta * x))
+    for a, rows in enumerate(V.action):
+        for r, row in enumerate(rows):
+            for m, x in row.items():
+                columns[a][m].append((r, delta * x))
     images = [[(m, x) for m, x in enumerate(row) if x] for row in D]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -276,7 +268,7 @@ def inner_derivations(L: LieAlgebra, V: Representation) -> DerivationSpace:
     dim, dim_v = L.dim, V.dim_v
     generators: list[Vec] = []
     for m in range(dim_v):
-        generators.append([V.action[a][r][m] for a in range(dim) for r in range(dim_v)])
+        generators.append([V.action[a][r].get(m, 0) for a in range(dim) for r in range(dim_v)])
     system = assemble_system(L, V)
     return _space_from_vectors(system, Fraction(1), canonical_basis(generators))
 

@@ -7,19 +7,21 @@ Conventions fixed here and relied on by all golden outputs:
   structural, the bracket of arbitrary vectors is computed by bilinear
   expansion.
 * The 3-dimensional rank-1 simple algebra ``sl2()`` uses the basis order
-  (e-, h, e+) with [h, e-] = -2 e-, [h, e+] = 2 e+, [e+, e-] = h, and
-  carries the bookkeeping weights (1, 0, -1).  Note these differ from the
-  ad(h) eigenvalues (-2, 0, 2) by a factor of -2; ``weight_decomposition``
-  always reports raw eigenvalues.
+  (e-, h, e+) with [h, e-] = -2 e-, [h, e+] = 2 e+, [e+, e-] = h, so the
+  ad(h) eigenvalues are (-2, 0, 2); ``weight_decomposition`` always
+  reports raw eigenvalues.
 * The irreducible (n+1)-dimensional module ``sl2_module(n)`` has basis
   v_0..v_n with e- . v_i = (i+1) v_{i+1}, h . v_i = (n-2i) v_i,
   e+ . v_i = (n-i+1) v_{i-1} (terms out of range are zero); v_i carries
   the bookkeeping weight i, which is (n - eigenvalue)/2.
 * Tensor product bases are row-major in (first factor, second factor).
+* A module stores the action of each basis element as dim_v sparse rows,
+  ``{column: nonzero Fraction}``; ``action_matrix`` is the dense view.
 
 Every constructor validates its result exhaustively (the Jacobi identity
-over all basis triples, the homomorphism identity over all basis pairs)
-unless validation is explicitly skipped; the test suite never skips.
+over all basis triples, the homomorphism identity over all basis pairs).
+Only ``algebra_from_structure_constants`` can skip its check
+(``validate=False``), which the tests use to build broken algebras.
 """
 
 from __future__ import annotations
@@ -27,15 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    Mat,
-    Vec,
-    canonical_basis,
-    identity,
-    kron,
-    nullspace_bareiss,
-    zeros,
-)
+from .linalg import Mat, SparseRow, Vec, canonical_basis, nullspace_bareiss
 
 
 class JacobiViolation(Exception):
@@ -77,10 +71,9 @@ class LieAlgebra:
     structure: StructureMap
     basis_labels: tuple[str, ...]
     summand_boundaries: tuple[tuple[int, int], ...]
-    basis_weights: tuple[int, ...] | None = None
 
     def __eq__(self, other) -> bool:
-        """Structural equality; labels and weights are cosmetic."""
+        """Structural equality; labels are cosmetic."""
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return (
@@ -100,15 +93,6 @@ class LieAlgebra:
         for k, c in self.structure.get((i, j), ()):
             out[k] += sign * c
         return out
-
-    def ad_matrix(self, i: int) -> Mat:
-        """Matrix of ad(e_i), columns indexed by the acted-on basis element."""
-        m = zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.bracket_basis(i, j)
-            for k in range(self.dim):
-                m[k][j] = col[k]
-        return m
 
     def commutant_dimension(self) -> int:
         """Dimension of [L, L], the span of all basis brackets."""
@@ -140,7 +124,6 @@ def algebra_from_structure_constants(
     entries,
     labels=None,
     summand_boundaries=None,
-    weights=None,
     validate: bool = True,
 ) -> LieAlgebra:
     """Build and validate a Lie algebra from sparse structure constants.
@@ -174,7 +157,6 @@ def algebra_from_structure_constants(
         structure=structure,
         basis_labels=tuple(labels),
         summand_boundaries=tuple(tuple(b) for b in summand_boundaries),
-        basis_weights=tuple(weights) if weights is not None else None,
     )
     if validate:
         _check_jacobi(alg)
@@ -184,7 +166,7 @@ def algebra_from_structure_constants(
 def sl2() -> LieAlgebra:
     """The rank-1 simple algebra in the basis (e-, h, e+).
 
-    [h, e-] = -2 e-, [h, e+] = 2 e+, [e+, e-] = h.  Basis weights (1, 0, -1).
+    [h, e-] = -2 e-, [h, e+] = 2 e+, [e+, e-] = h.
     """
     return algebra_from_structure_constants(
         3,
@@ -194,7 +176,6 @@ def sl2() -> LieAlgebra:
             (1, 2, 2, 2),   # [h, e+] = 2 e+
         ],
         labels=("e-", "h", "e+"),
-        weights=(1, 0, -1),
     )
 
 
@@ -202,26 +183,22 @@ def sl2() -> LieAlgebra:
 class Representation:
     algebra: LieAlgebra
     dim_v: int
-    action: tuple  # one dim_v x dim_v matrix (tuple of row tuples) per basis element
+    action: tuple  # per basis element, dim_v rows {column: nonzero Fraction}; read-only
     weight_labels: tuple[int, ...] | None = None
 
     def action_matrix(self, i: int) -> Mat:
-        return [list(row) for row in self.action[i]]
-
-
-def _freeze_matrix(m: Mat) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
-
-
-def sparse_rows(m) -> list[dict[int, Fraction]]:
-    """The nonzero entries of each row of a matrix, as {column: value} maps."""
-    return [{s: x for s, x in enumerate(row) if x} for row in m]
+        """The action of e_i as a dense matrix."""
+        m = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
+        for r, row in enumerate(self.action[i]):
+            for s, x in row.items():
+                m[r][s] = x
+        return m
 
 
 def _check_homomorphism(rep: Representation) -> None:
     """Check [rho_i, rho_j] = rho([e_i, e_j]) for every pair i < j, on nonzeros."""
     alg = rep.algebra
-    mats = [sparse_rows(m) for m in rep.action]
+    mats = rep.action
     n = rep.dim_v  # entry (r, s) is accumulated under the key r * n + s
 
     def add_product(acc, left, right, sign):
@@ -244,24 +221,30 @@ def _check_homomorphism(rep: Representation) -> None:
 
 
 def representation_from_action(
-    algebra: LieAlgebra, matrices, weights=None, validate: bool = True
+    algebra: LieAlgebra, actions, dim_v: int, weights=None
 ) -> Representation:
-    """Wrap one action matrix per basis element into a validated module."""
-    mats = tuple(_freeze_matrix(m) for m in matrices)
-    if len(mats) != algebra.dim:
-        raise ValueError(f"need {algebra.dim} action matrices, got {len(mats)}")
-    dim_v = len(mats[0]) if mats else 0
-    for m in mats:
-        if len(m) != dim_v or any(len(row) != dim_v for row in m):
-            raise ValueError("action matrices must be square and equally sized")
+    """Build a validated module from one action per basis element.
+
+    Each action is dim_v rows of ``{column: value}``; values become
+    Fractions and zeros are dropped.
+    """
+    if dim_v < 0:
+        raise ValueError("dimension must be nonnegative")
+    action = tuple(
+        tuple({s: Fraction(x) for s, x in row.items() if x} for row in rows) for rows in actions
+    )
+    if len(action) != algebra.dim:
+        raise ValueError(f"need {algebra.dim} actions, got {len(action)}")
+    for rows in action:
+        if len(rows) != dim_v or any(not 0 <= s < dim_v for row in rows for s in row):
+            raise ValueError(f"each action must be {dim_v} rows with columns below {dim_v}")
     rep = Representation(
         algebra=algebra,
         dim_v=dim_v,
-        action=mats,
+        action=action,
         weight_labels=tuple(weights) if weights is not None else None,
     )
-    if validate:
-        _check_homomorphism(rep)
+    _check_homomorphism(rep)
     return rep
 
 
@@ -273,27 +256,29 @@ def sl2_module(n: int) -> Representation:
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
     d = n + 1
-    lower = zeros(d, d)
-    diag = zeros(d, d)
-    upper = zeros(d, d)
-    for i in range(d):
-        if i + 1 < d:
-            lower[i + 1][i] = Fraction(i + 1)
-        diag[i][i] = Fraction(n - 2 * i)
-        if i - 1 >= 0:
-            upper[i - 1][i] = Fraction(n - i + 1)
-    return representation_from_action(sl2(), [lower, diag, upper], weights=range(d))
+    lower = [{r - 1: r} if r else {} for r in range(d)]
+    diag = [{r: n - 2 * r} for r in range(d)]
+    upper = [{r + 1: n - r} if r < n else {} for r in range(d)]
+    return representation_from_action(sl2(), [lower, diag, upper], d, weights=range(d))
+
+
+def _ad_rows(L: LieAlgebra) -> list[list[SparseRow]]:
+    """ad(e_i) for every i, as rows: row k, column j holds the e_k coefficient of [e_i, e_j]."""
+    rows: list[list[SparseRow]] = [[{} for _ in range(L.dim)] for _ in range(L.dim)]
+    for (i, j), terms in L.structure.items():
+        for k, c in terms:
+            rows[i][k][j] = c
+            rows[j][k][i] = -c
+    return rows
 
 
 def adjoint_module(L: LieAlgebra) -> Representation:
     """The algebra acting on itself through ad(x) y = [x, y]."""
-    return representation_from_action(L, [L.ad_matrix(i) for i in range(L.dim)])
+    return representation_from_action(L, _ad_rows(L), L.dim)
 
 
 def trivial_module(L: LieAlgebra, d: int) -> Representation:
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
-    return representation_from_action(L, [zeros(d, d) for _ in range(L.dim)])
+    return representation_from_action(L, [[{}] * d] * L.dim, d)
 
 
 def sl_n(n: int) -> tuple[LieAlgebra, Representation]:
@@ -349,8 +334,8 @@ def sl_n(n: int) -> tuple[LieAlgebra, Representation]:
                 if partial:
                     entries.append((a, b, h_start + k, partial))
     alg = algebra_from_structure_constants(dim, entries, labels=labels)
-    matrices = [[[m.get((i, j), 0) for j in range(n)] for i in range(n)] for m in basis]
-    natural = representation_from_action(alg, matrices)
+    actions = [[{j: x for (i, j), x in m.items() if i == r} for r in range(n)] for m in basis]
+    natural = representation_from_action(alg, actions, n)
     return alg, natural
 
 
@@ -365,8 +350,6 @@ def direct_sum_algebras(parts: list[LieAlgebra]) -> LieAlgebra:
     entries = []
     labels: list[str] = []
     boundaries: list[tuple[int, int]] = []
-    weights: list[int] = []
-    have_weights = all(p.basis_weights is not None for p in parts)
     offset = 0
     for p in parts:
         for (i, j), terms in p.structure.items():
@@ -374,15 +357,9 @@ def direct_sum_algebras(parts: list[LieAlgebra]) -> LieAlgebra:
                 entries.append((i + offset, j + offset, k + offset, c))
         labels.extend(p.basis_labels)
         boundaries.extend((a + offset, b + offset) for a, b in p.summand_boundaries)
-        if have_weights:
-            weights.extend(p.basis_weights)
         offset += p.dim
     return algebra_from_structure_constants(
-        offset,
-        entries,
-        labels=labels,
-        summand_boundaries=boundaries,
-        weights=weights if have_weights else None,
+        offset, entries, labels=labels, summand_boundaries=boundaries
     )
 
 
@@ -394,22 +371,17 @@ def direct_sum_modules(parts: list[Representation]) -> Representation:
     for p in parts[1:]:
         if p.algebra != alg:
             raise AlgebraMismatch("module summands live over different algebras")
-    total = sum(p.dim_v for p in parts)
-    mats = []
+    actions = []
     for i in range(alg.dim):
-        m = zeros(total, total)
-        off = 0
+        rows = []
         for p in parts:
-            block = p.action[i]
-            for r in range(p.dim_v):
-                for s in range(p.dim_v):
-                    m[off + r][off + s] = block[r][s]
-            off += p.dim_v
-        mats.append(m)
+            off = len(rows)
+            rows.extend({off + s: x for s, x in row.items()} for row in p.action[i])
+        actions.append(rows)
     weights = None
     if all(p.weight_labels is not None for p in parts):
         weights = [w for p in parts for w in p.weight_labels]
-    return representation_from_action(alg, mats, weights=weights)
+    return representation_from_action(alg, actions, sum(p.dim_v for p in parts), weights=weights)
 
 
 def tensor_module(v1: Representation, v2: Representation) -> Representation:
@@ -420,19 +392,21 @@ def tensor_module(v1: Representation, v2: Representation) -> Representation:
     (first factor index, second factor index).
     """
     alg = direct_sum_algebras([v1.algebra, v2.algebra])
-    i1 = identity(v1.dim_v)
-    i2 = identity(v2.dim_v)
-    mats = [kron(v1.action_matrix(i), i2) for i in range(v1.algebra.dim)]
-    mats += [kron(i1, v2.action_matrix(i)) for i in range(v2.algebra.dim)]
-    return representation_from_action(alg, mats)
+    d1, d2 = v1.dim_v, v2.dim_v
+    actions = [
+        [{s * d2 + r2: x for s, x in row.items()} for row in rows for r2 in range(d2)]
+        for rows in v1.action
+    ]
+    actions += [
+        [{r1 * d2 + s: y for s, y in row.items()} for r1 in range(d1) for row in rows]
+        for rows in v2.action
+    ]
+    return representation_from_action(alg, actions, d1 * d2)
 
 
 def invariants(V: Representation) -> tuple[tuple[Fraction, ...], ...]:
     """Basis of the joint kernel of all action matrices (the invariants)."""
-    rows: list[dict[int, Fraction]] = []
-    for i in range(V.algebra.dim):
-        rows.extend(sparse_rows(V.action[i]))
-    return nullspace_bareiss(rows, V.dim_v)
+    return nullspace_bareiss([row for rows in V.action for row in rows], V.dim_v)
 
 
 def weight_decomposition(
@@ -448,19 +422,15 @@ def weight_decomposition(
     """
     if not 0 <= h_index < L.dim:
         raise IndexOutOfRange(f"no basis element {h_index}")
-    adh = L.ad_matrix(h_index)
-    for i in range(L.dim):
-        for j in range(L.dim):
-            if i != j and adh[i][j] != 0:
-                raise NotDiagonal(f"ad(e_{h_index}) has off-diagonal entry at {(i, j)}")
-    rhoh = V.action[h_index]
-    for i in range(V.dim_v):
-        for j in range(V.dim_v):
-            if i != j and rhoh[i][j] != 0:
-                raise NotDiagonal(f"action of e_{h_index} has off-diagonal entry at {(i, j)}")
     groups: dict[Fraction, tuple[list[int], list[int]]] = {}
-    for a in range(L.dim):
-        groups.setdefault(adh[a][a], ([], []))[0].append(a)
-    for m in range(V.dim_v):
-        groups.setdefault(rhoh[m][m], ([], []))[1].append(m)
+    sides = (
+        (f"ad(e_{h_index})", _ad_rows(L)[h_index]),
+        (f"action of e_{h_index}", V.action[h_index]),
+    )
+    for side, (what, rows) in enumerate(sides):
+        for r, row in enumerate(rows):
+            off = [s for s in row if s != r]
+            if off:
+                raise NotDiagonal(f"{what} has off-diagonal entry at {(r, min(off))}")
+            groups.setdefault(row.get(r, Fraction(0)), ([], []))[side].append(r)
     return [(w, tuple(groups[w][0]), tuple(groups[w][1])) for w in sorted(groups)]

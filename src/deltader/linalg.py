@@ -30,32 +30,6 @@ Mat = list[list[Fraction]]
 SparseRow = dict[int, Fraction]  # column -> entry; int entries are fine too
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Mat:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product with row-major index pairing (i_a, i_b)."""
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    out = zeros(ra * rb, ca * cb)
-    for i1 in range(ra):
-        for j1 in range(ca):
-            s = a[i1][j1]
-            if s:
-                for i2 in range(rb):
-                    for j2 in range(cb):
-                        out[i1 * rb + i2][j1 * cb + j2] = s * b[i2][j2]
-    return out
-
-
 def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
     m = [list(map(Fraction, r)) for r in rows]

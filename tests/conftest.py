@@ -40,6 +40,11 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def sparse(matrices):
+    """Dense action matrices as the {column: value} rows the package stores."""
+    return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]
+
+
 @pytest.fixture(scope="session")
 def probe_json():
     """The probe below as ``--input`` JSON, with n in place of rho(x)'s entry 2."""
@@ -62,6 +67,6 @@ def probe():
     """
     alg = lie_core.algebra_from_structure_constants(2, [(0, 1, 1, 1)])
     module = lie_core.representation_from_action(
-        alg, [[[0, 2], [1, 0]], [[0, 0], [0, 0]]]
+        alg, sparse([[[0, 2], [1, 0]], [[0, 0], [0, 0]]]), 2
     )
     return alg, module

@@ -448,9 +448,15 @@ class TestDescribeAndRoundTrip:
             {"algebra": {"dim": 2, "brackets": []}, "module": {"dim": 1, "action": 7}},
             [{"algebra": {}, "module": {}}],
             "algebra module",
+            {"algebra": {"dim": 1, "brackets": []},
+             "module": {"dim": 5, "action": [[["0", "1"], ["0", "0"]]]}},
+            {"algebra": {"dim": 1, "brackets": []},
+             "module": {"dim": 2, "action": [[["0", "1"], ["0"]]]}},
+            {"algebra": {"dim": 1, "brackets": []},
+             "module": {"action": [[["0", "1"], ["0", "0"]]]}},
         ],
         ids=["brackets-not-a-list", "short-bracket-entry", "action-not-a-list", "top-level-list",
-             "top-level-string"],
+             "top-level-string", "module-dim-mismatch", "ragged-action-row", "module-without-dim"],
     )
     def test_malformed_shapes_are_input_errors(self, capsys, tmp_path, payload):
         path = tmp_path / "shape.json"
@@ -523,6 +529,26 @@ class TestGoldenOutputs:
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(probe_json()))
         code, out, _ = run_cli(capsys, *(str(path) if a == "PROBE" else a for a in argv))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--algebra", "sl2 o+ sl2", "--module", "V(1) (x) V(0) o+ V(0) (x) V(2)"),
+             "67344f8701802b89fc2f33c5286d8333e7da84b3d5dba545127d6c30b3e653a7"),
+            (("--algebra", "sl4", "--module", "adjoint"),
+             "02158a44854797a5a515d1aa34d8d288f98df057df7bc9b183fe945e570449ef"),
+            (("--input", "PROBE"),
+             "18378e5be62df98a3c64a4d99986783753514f109b6d07fe2a3ff765bad5ee2d"),
+        ],
+    )
+    def test_describe_stdout(self, capsys, tmp_path, probe_json, argv, digest):
+        """The dense action matrices that describe writes from the sparse rows."""
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(probe_json()))
+        argv = [str(path) if a == "PROBE" else a for a in argv]
+        code, out, _ = run_cli(capsys, "describe", *argv, "--format", "json")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -31,6 +31,10 @@ from deltader.linalg import spans_equal
 F = Fraction
 
 
+def sparse(matrices):
+    return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]
+
+
 def span_of(maps):
     return [list(map_to_vector(D)) for D in maps]
 
@@ -205,8 +209,9 @@ class TestScan:
             lower, diag, upper = (v_modules[n].action_matrix(i) for i in range(3))
             module = representation_from_action(
                 scaled,
-                [[[x / 2 for x in row] for row in lower], diag,
-                 [[x / 3 for x in row] for row in upper]],
+                sparse([[[x / 2 for x in row] for row in lower], diag,
+                        [[x / 3 for x in row] for row in upper]]),
+                n + 1,
             )
             assert scan(scaled, module) == scan(sl2, v_modules[n])
             for d in (F(-2, n), F(2, n + 2), F(3, 7)):

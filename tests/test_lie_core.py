@@ -21,13 +21,16 @@ from deltader.lie_core import (
     trivial_module,
     weight_decomposition,
 )
-from deltader.linalg import identity
 
 F = Fraction
 
 
 def mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def sparse(matrices):
+    return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]
 
 
 def commutator(a, b):
@@ -39,6 +42,19 @@ def unit(n, i):
     v = [F(0)] * n
     v[i] = F(1)
     return v
+
+
+def identity(n):
+    return [unit(n, i) for i in range(n)]
+
+
+def kron(a, b):
+    """Dense Kronecker product, row-major in (index in a, index in b)."""
+    rb, cb = len(b), len(b[0])
+    return [
+        [a[r // rb][c // cb] * b[r % rb][c % cb] for c in range(len(a[0]) * cb)]
+        for r in range(len(a) * rb)
+    ]
 
 
 class TestSl2:
@@ -59,7 +75,6 @@ class TestSl2:
 
     def test_labels_and_weights(self, sl2):
         assert sl2.basis_labels == ("e-", "h", "e+")
-        assert sl2.basis_weights == (1, 0, -1)
 
     def test_perfect(self, sl2):
         assert sl2.commutant_dimension() == 3
@@ -271,7 +286,7 @@ class TestAdjointAndTrivial:
     def test_adjoint_of_abelian_is_zero(self):
         abelian = algebra_from_structure_constants(3, [])
         adj = adjoint_module(abelian)
-        assert all(all(x == 0 for row in m for x in row) for m in adj.action)
+        assert all(x == 0 for i in range(3) for row in adj.action_matrix(i) for x in row)
 
     def test_trivial_module(self, sl2):
         rep = trivial_module(sl2, 4)
@@ -325,7 +340,7 @@ class TestTensorModules:
     def test_second_factor_trivial(self):
         t = tensor_module(sl2_module(1), sl2_module(0))
         for i in range(3, 6):
-            assert all(x == 0 for row in t.action[i] for x in row)
+            assert all(x == 0 for row in t.action_matrix(i) for x in row)
         # first summand acts exactly as on the plain module
         assert t.action_matrix(0) == sl2_module(1).action_matrix(0)
 
@@ -340,6 +355,56 @@ class TestTensorModules:
         t = tensor_module(sl2_module(1), sl3_natural)
         assert t.algebra.dim == 11
         assert t.dim_v == 6
+
+    def test_matches_dense_kronecker_oracle(self, sl3_natural):
+        # rho1(x) (x) I for the first algebra, I (x) rho2(x) for the second
+        for v1, v2 in (
+            (sl2_module(1), sl2_module(2)),
+            (sl2_module(2), sl2_module(0)),
+            (sl3_natural, sl2_module(1)),
+        ):
+            t = tensor_module(v1, v2)
+            expected = [kron(v1.action_matrix(i), identity(v2.dim_v))
+                        for i in range(v1.algebra.dim)]
+            expected += [kron(identity(v1.dim_v), v2.action_matrix(i))
+                         for i in range(v2.algebra.dim)]
+            assert [t.action_matrix(i) for i in range(t.algebra.dim)] == expected
+
+
+class TestStoredRows:
+    def test_builders_store_nonzero_fractions_in_range(self, sl2, sl3, sl3_natural):
+        modules = [sl2_module(n) for n in range(5)] + [
+            adjoint_module(sl2),
+            adjoint_module(sl3),
+            sl3_natural,
+            trivial_module(sl3, 2),
+            direct_sum_modules([sl2_module(1), adjoint_module(sl2)]),
+            tensor_module(sl2_module(2), sl2_module(1)),
+        ]
+        for rep in modules:
+            assert len(rep.action) == rep.algebra.dim
+            for rows in rep.action:
+                assert len(rows) == rep.dim_v
+                for row in rows:
+                    for s, x in row.items():
+                        assert type(x) is Fraction and x != 0 and 0 <= s < rep.dim_v
+
+    def test_constructor_drops_zeros_and_converts(self, sl2):
+        rep = representation_from_action(sl2, [[{0: 0}], [{0: 0.0}], [{}]], 1)
+        assert rep.action == (({},),) * 3
+        abelian = algebra_from_structure_constants(1, [])
+        rep = representation_from_action(abelian, [[{1: 3}, {}]], 2)
+        assert rep.action == (({1: F(3)}, {}),)
+        assert type(rep.action[0][0][1]) is Fraction
+
+    def test_constructor_rejects_bad_shapes(self, sl2):
+        abelian = algebra_from_structure_constants(1, [])
+        with pytest.raises(ValueError):
+            representation_from_action(abelian, [[{2: 1}, {}]], 2)  # column out of range
+        with pytest.raises(ValueError):
+            representation_from_action(abelian, [[{}]], 2)  # too few rows
+        with pytest.raises(ValueError):
+            representation_from_action(abelian, [[{-1: 1}]], 1)
 
 
 class TestInvariants:
@@ -359,14 +424,16 @@ class TestInvariants:
         assert len(basis) == 1
         for v in basis:
             for i in range(3):
-                assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in rep.action[i])
+                assert all(
+                    sum(x * y for x, y in zip(row, v)) == 0 for row in rep.action_matrix(i)
+                )
 
 
 class TestRepresentationValidation:
     def test_homomorphism_violation(self, sl2):
         mats = [[[F(0)]], [[F(0)]], [[F(1)]]]
         with pytest.raises(HomomorphismViolation) as err:
-            representation_from_action(sl2, mats)
+            representation_from_action(sl2, sparse(mats), 1)
         assert err.value.pair == (1, 2)
 
     def test_first_failing_pair_in_a_larger_module(self, sl3, sl3_natural):
@@ -382,12 +449,12 @@ class TestRepresentationValidation:
                     failing.append((i, j))
         assert len(failing) > 1
         with pytest.raises(HomomorphismViolation) as err:
-            representation_from_action(sl3, mats)
+            representation_from_action(sl3, sparse(mats), 3)
         assert err.value.pair == failing[0]
 
     def test_wrong_count_rejected(self, sl2):
         with pytest.raises(ValueError):
-            representation_from_action(sl2, [identity(2)] * 2)
+            representation_from_action(sl2, [[{0: 1}, {1: 1}]] * 2, 2)
 
 
 class TestWeightDecomposition:

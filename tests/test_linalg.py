@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from deltader.exact_arith import pdivexact, pmul, psub
 from deltader.linalg import (
     canonical_basis,
-    identity,
-    kron,
     nullspace_bareiss,
     nullspace_gauss,
     pencil_eliminate,
@@ -20,8 +18,8 @@ from deltader.linalg import (
 F = Fraction
 
 
-def mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+def identity(n):
+    return [[F(int(r == c)) for c in range(n)] for r in range(n)]
 
 
 def random_matrix(rng, rows, cols):
@@ -144,31 +142,6 @@ class TestNullspaceRoutes:
                 assert all(
                     sum(row[j] * v[j] for j in range(7)) == 0 for row in m
                 )
-
-
-class TestKron:
-    def test_row_major_pairing(self):
-        a = [[F(1), F(2)], [F(0), F(3)]]
-        b = [[F(5)]]
-        assert kron(a, b) == [[F(5), F(10)], [F(0), F(15)]]
-
-    def test_block_structure(self):
-        a = [[F(2)]]
-        b = [[F(1), F(0)], [F(0), F(1)]]
-        assert kron(a, b) == [[F(2), F(0)], [F(0), F(2)]]
-        assert kron(b, a) == [[F(2), F(0)], [F(0), F(2)]]
-
-    def test_mixes_indices_correctly(self):
-        a = [[F(0), F(1)], [F(0), F(0)]]
-        m = kron(a, identity(3))
-        # entry ((0, r), (1, r)) = 1 means column 1*3+r -> row 0*3+r
-        for r in range(3):
-            assert m[r][3 + r] == 1
-
-    def test_multiplicativity(self):
-        a = [[F(1), F(2)], [F(3), F(4)]]
-        b = [[F(0), F(1)], [F(1), F(1)]]
-        assert mat_mul(kron(a, b), kron(a, b)) == kron(mat_mul(a, a), mat_mul(b, b))
 
 
 class TestIntPolynomials:
