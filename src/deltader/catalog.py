@@ -34,8 +34,8 @@ differences; for the module above the bookkeeping weight used here is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import delta_solver, lie_core
 from .delta_solver import DerivationMap, ShapeMismatch
@@ -47,8 +47,7 @@ CASE_TWO_OVER_N_PLUS_TWO = "two_over_n_plus_two"
 CASE_ONE_HALF = "one_half"
 
 
-@dataclass(frozen=True)
-class ExpectedFamily:
+class ExpectedFamily(NamedTuple):
     case_tag: str
     n: int
     delta: Fraction
@@ -231,15 +230,13 @@ def theorem_dimension(g_parts: list[str], v_parts: list[tuple[int, str]], delta)
     return total
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     status: str  # pass / fail / skip
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[VerifyCheck, ...]
 
     @property

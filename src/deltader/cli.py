@@ -22,8 +22,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import catalog, delta_solver, lie_core
 from .exact_arith import parse_rational
@@ -46,20 +44,6 @@ class ParseError(Exception):
 
 class SemanticError(Exception):
     pass
-
-
-@dataclass
-class JobSpec:
-    command: str
-    algebra: str | None = None
-    module: str | None = None
-    delta: Fraction | None = None
-    include_zero: bool = False
-    grading_element: int | None = None
-    fmt: str = "json"
-    input_path: str | None = None
-    output_path: str | None = None
-    max_n: int = 4
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +280,9 @@ def module_from_json(data, algebra: LieAlgebra) -> Representation:
              and all(_lists(m, dim) and len(m) == dim for m in data["action"]),
              f"'action' must be a list of {dim} x {dim} matrices given as lists of rows")
     weights = data.get("weights")
-    _require(weights is None or isinstance(weights, list), "'weights' must be a list")
+    _require(weights is None or isinstance(weights, list) and len(weights) == dim
+             and all(type(w) is int for w in weights),
+             f"'weights' must be a list of {dim} integers")
     actions = [
         [{s: v for s, x in enumerate(row) if (v := parse_rational(str(x)))} for row in m]
         for m in data["action"]
@@ -386,7 +372,7 @@ def _scan_to_text(report: delta_solver.ScanReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_inputs(job: JobSpec) -> tuple[LieAlgebra, Representation, dict]:
+def _load_inputs(job: argparse.Namespace) -> tuple[LieAlgebra, Representation, dict]:
     """Resolve the algebra and module from descriptors or a JSON file."""
     meta: dict = {}
     if job.input_path is not None:
@@ -408,7 +394,7 @@ def _load_inputs(job: JobSpec) -> tuple[LieAlgebra, Representation, dict]:
     return algebra, module, meta
 
 
-def _emit(job: JobSpec, text: str) -> None:
+def _emit(job: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if job.output_path is not None:
@@ -418,7 +404,7 @@ def _emit(job: JobSpec, text: str) -> None:
         sys.stdout.write(text)
 
 
-def run(job: JobSpec) -> int:
+def run(job: argparse.Namespace) -> int:
     """Execute a job; returns the process exit code."""
     if job.command == "verify":
         report = catalog.verify_all(job.max_n)
@@ -523,8 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_jobspec(argv: list[str]) -> JobSpec:
-    job = JobSpec(**vars(_build_parser().parse_args(_merge_negative_values(argv))))
+def build_jobspec(argv: list[str]) -> argparse.Namespace:
+    job = _build_parser().parse_args(_merge_negative_values(argv))
     if job.command == "solve":
         if job.delta is None:
             raise SemanticError("solve requires --delta")

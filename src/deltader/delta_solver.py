@@ -24,11 +24,11 @@ defining equation by code independent of the elimination.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
-from .exact_arith import Poly, pdivexact, poly_normalize, poly_rational_roots
+from .exact_arith import Coeffs, Poly, pdivexact, poly_normalize, poly_rational_roots
 from .lie_core import AlgebraMismatch, LieAlgebra, Representation, weight_decomposition
 from .linalg import (
     Vec,
@@ -49,8 +49,7 @@ class VerificationFailure(Exception):
 DerivationMap = tuple[tuple[Fraction, ...], ...]  # dim rows of dim_v coordinates
 
 
-@dataclass(frozen=True)
-class DerivationSystem:
+class DerivationSystem(NamedTuple):
     """The pencil A + d*B of the twisted-derivation equations, stored sparsely.
 
     ``a_part[r]`` and ``b_part[r]`` map the columns of the nonzero entries
@@ -87,9 +86,23 @@ class DerivationSystem:
             out.append(row)
         return out
 
+    def pencil(self, rows, cols) -> list[list[Coeffs]]:
+        """Rows ``rows`` of A + d*B on the columns ``cols``, as dense rows of
+        coefficient tuples (see exact_arith) in the given column order."""
+        local = {c: k for k, c in enumerate(cols)}
+        out = []
+        for r in rows:
+            row = [()] * len(local)
+            for c, a in self.a_part[r].items():
+                row[local[c]] = (a,)
+            for c, b in self.b_part[r].items():
+                k = local[c]
+                row[k] = (row[k][0] if row[k] else 0, b)
+            out.append(row)
+        return out
 
-@dataclass(frozen=True)
-class DerivationSpace:
+
+class DerivationSpace(NamedTuple):
     """Exact basis of the space of d-twisted derivations at a fixed d.
 
     ``basis[t][a][m]`` is the m-th coordinate of the image of e_a under the
@@ -107,8 +120,7 @@ class DerivationSpace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """All rational d with nontrivial twisted-derivation space.
 
     ``findings`` maps each verified rational d to its kernel dimension, in
@@ -291,20 +303,62 @@ def _strip_rational_roots(p: Poly, roots) -> Poly:
     return Poly(cs)
 
 
+def _components(system: DerivationSystem) -> list[tuple[list[int], list[int]]]:
+    """The connected components of the pencil's row-column incidence graph.
+
+    A row joins every column where it has a nonzero entry in A or in B.
+    Each component is returned as its rows and its columns, both in
+    ascending order; rows without entries and columns no row touches
+    belong to no component.  Permuting rows and columns by component makes
+    the pencil block diagonal.
+    """
+    parent = list(range(system.cols))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    anchors = []  # a column of each row, None for a row without entries
+    for arow, brow in zip(system.a_part, system.b_part):
+        keys = arow.keys() | brow.keys()
+        anchor = find(next(iter(keys))) if keys else None
+        for c in keys:
+            parent[find(c)] = anchor
+        anchors.append(anchor)
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for r, anchor in enumerate(anchors):
+        if anchor is not None:
+            blocks.setdefault(find(anchor), ([], []))[0].append(r)
+    for c in range(system.cols):
+        block = blocks.get(find(c))
+        if block is not None:
+            block[1].append(c)
+    return list(blocks.values())
+
+
 def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanReport:
     """Find every rational d whose twisted-derivation space is nontrivial.
 
-    Method: run fraction-free elimination on the pencil over ZZ[d],
-    recording every pivot polynomial.  If all pivots are nonzero at some
-    d0, the specialized elimination is valid there and the rank does not
-    drop, so any rank-dropping d0 is a root of some pivot; the union of the
-    pivots' rational roots is therefore a superset of all rational
-    exceptional values.  Each candidate is then verified by an independent
-    fixed-d kernel computation, making the report exact over the rationals.
+    Method: split the pencil into the connected components of its
+    row-column incidence graph (``_components``).  Ordered by component
+    the pencil is block diagonal, so its rank at every d, and over the
+    rational function field, is the sum of the block ranks; the generic
+    rank adds up the same way.  Each block is eliminated on its own by
+    fraction-free elimination over ZZ[d], recording every pivot
+    polynomial.  If all pivots of a block are nonzero at some d0, the
+    specialized elimination is valid there and that block's rank does not
+    drop, so any rank-dropping d0 is a root of some block's pivot; the
+    union of the pivots' rational roots is therefore a superset of all
+    rational exceptional values.  Each candidate is then verified by an
+    independent fixed-d kernel computation on the whole system, making the
+    report exact over the rationals.
 
-    Irrational rank drops are bounded through the last pivot alone: it is
-    a maximal nonzero minor of the pencil, and a rank drop makes every
-    maximal minor vanish.  Whatever survives of the last pivot after its
+    Irrational rank drops are bounded through the last pivot of each
+    block: it is a maximal nonzero minor of that block, a rank drop at d0
+    lowers the rank of some block, and then every maximal minor of that
+    block vanishes at d0.  Whatever survives of a last pivot after its
     rational roots are divided out (necessarily of degree >= 2) is
     reported unresolved in ``nonrational_factors``.  Earlier pivots are
     smaller minors whose extra factors need not witness any rank drop, so
@@ -316,34 +370,28 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     ``include_zero`` the value is verified and reported like any other.
     """
     system = assemble_system(L, V)
-    poly_rows = []
-    for arow, brow in zip(system.a_part, system.b_part):
-        row = [()] * system.cols
-        for c, a in arow.items():
-            row[c] = (a,)
-        for c, b in brow.items():
-            row[c] = (row[c][0] if row[c] else 0, b)
-        poly_rows.append(row)
-    pivots, generic_rank = pencil_eliminate(poly_rows, system.cols)
+    generic_rank = 0
+    candidates: set[Fraction] = set()
+    nonrational: set[Poly] = set()
+    for rows, cols in _components(system):
+        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
+        generic_rank += rank
+        for which, pivot in enumerate(pivots):
+            p = poly_normalize(pivot)
+            if p.degree < 1:
+                continue
+            roots = poly_rational_roots(p)
+            candidates.update(roots)
+            if which == len(pivots) - 1:
+                residual = _strip_rational_roots(p, roots)
+                if residual.degree >= 2:
+                    nonrational.add(poly_normalize(residual))
     # The elimination discards thousands of small coefficient tuples, which
     # CPython keeps on its tuple free lists; only a full collection empties
     # them, and the integer code paths allocate too few tracked objects to
-    # trigger one, so a long-running process would keep that memory.
-    del poly_rows
+    # trigger one, so a long-running process would keep that memory.  One
+    # collection after the last block suffices.
     gc.collect()
-
-    candidates: set[Fraction] = set()
-    nonrational: set[Poly] = set()
-    for which, pivot in enumerate(pivots):
-        p = poly_normalize(pivot)
-        if p.degree < 1:
-            continue
-        roots = poly_rational_roots(p)
-        candidates.update(roots)
-        if which == len(pivots) - 1:
-            residual = _strip_rational_roots(p, roots)
-            if residual.degree >= 2:
-                nonrational.add(poly_normalize(residual))
 
     zero = Fraction(0)
     candidates.discard(zero)

@@ -26,7 +26,6 @@ Only ``algebra_from_structure_constants`` can skip its check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Mat, SparseRow, Vec, canonical_basis, nullspace_bareiss
@@ -65,12 +64,18 @@ class NotDiagonal(Exception):
 StructureMap = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 
 
-@dataclass(eq=False, frozen=True)
 class LieAlgebra:
-    dim: int
-    structure: StructureMap
-    basis_labels: tuple[str, ...]
-    summand_boundaries: tuple[tuple[int, int], ...]
+    """An algebra by its sparse structure constants; fields are read-only."""
+
+    __slots__ = ("dim", "structure", "basis_labels", "summand_boundaries")
+
+    def __init__(self, dim: int, structure: StructureMap, basis_labels: tuple[str, ...],
+                 summand_boundaries: tuple[tuple[int, int], ...]):
+        for name, value in zip(self.__slots__, (dim, structure, basis_labels, summand_boundaries)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebra is read-only")
 
     def __eq__(self, other) -> bool:
         """Structural equality; labels are cosmetic."""
@@ -179,12 +184,22 @@ def sl2() -> LieAlgebra:
     )
 
 
-@dataclass(eq=False, frozen=True)
 class Representation:
-    algebra: LieAlgebra
-    dim_v: int
-    action: tuple  # per basis element, dim_v rows {column: nonzero Fraction}; read-only
-    weight_labels: tuple[int, ...] | None = None
+    """A module of ``algebra``; fields are read-only, equality is identity.
+
+    ``action`` holds, per basis element, dim_v rows ``{column: nonzero
+    Fraction}`` (read-only too).
+    """
+
+    __slots__ = ("algebra", "dim_v", "action", "weight_labels")
+
+    def __init__(self, algebra: LieAlgebra, dim_v: int, action: tuple,
+                 weight_labels: tuple[int, ...] | None = None):
+        for name, value in zip(self.__slots__, (algebra, dim_v, action, weight_labels)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Representation is read-only")
 
     def action_matrix(self, i: int) -> Mat:
         """The action of e_i as a dense matrix."""

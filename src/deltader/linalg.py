@@ -15,7 +15,10 @@ kernel, under the ambient coordinate order, with pivot entries 1.
 ``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on a dense
 one-parameter matrix family, recording every pivot polynomial.  Pivots are
 chosen by lowest degree first (ties by column, then row), which keeps the
-degrees of recorded pivots small.
+degrees of recorded pivots small.  The scan calls it once per connected
+component of its sparse pencil: rank is additive over the blocks of a
+block-diagonal matrix, and each block's last pivot is a maximal minor of
+that block, which vanishes wherever the block's rank drops.
 """
 
 from __future__ import annotations

@@ -412,6 +412,17 @@ class TestDescribeAndRoundTrip:
             {"delta": "1", "dimension": 2},
         ]
 
+    def test_module_weights_are_echoed(self, capsys, tmp_path):
+        payload = {
+            "algebra": {"dim": 1, "brackets": []},
+            "module": {"dim": 2, "action": [[["0", "0"], ["0", "0"]]], "weights": [3, -1]},
+        }
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "describe", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["module"]["weights"] == [3, -1]
+
     def test_jacobi_violation_reported_as_input_error(self, capsys, tmp_path):
         payload = {
             "algebra": {
@@ -454,9 +465,12 @@ class TestDescribeAndRoundTrip:
              "module": {"dim": 2, "action": [[["0", "1"], ["0"]]]}},
             {"algebra": {"dim": 1, "brackets": []},
              "module": {"action": [[["0", "1"], ["0", "0"]]]}},
+            {"algebra": {"dim": 1, "brackets": []},
+             "module": {"dim": 2, "action": [[["0", "0"], ["0", "0"]]], "weights": [[1], "x", 3]}},
         ],
         ids=["brackets-not-a-list", "short-bracket-entry", "action-not-a-list", "top-level-list",
-             "top-level-string", "module-dim-mismatch", "ragged-action-row", "module-without-dim"],
+             "top-level-string", "module-dim-mismatch", "ragged-action-row", "module-without-dim",
+             "weights-not-dim-integers"],
     )
     def test_malformed_shapes_are_input_errors(self, capsys, tmp_path, payload):
         path = tmp_path / "shape.json"
@@ -523,6 +537,9 @@ class TestGoldenOutputs:
             # the "unresolved factors: -1 + 2*d^2" line
             (("scan", "--input", "PROBE", "--format", "table"),
              "a382e6e2c1cb81b7ea71de226d447c53b1360c4be416a8ecc01ce0caf6f65276"),
+            # the largest built-in scan, its "1 + 1*d + 1*d^2" residue included
+            (("scan", "--algebra", "sl4", "--module", "adjoint"),
+             "50b9dd4ed6178835c2f4e9093c8cbd990d9c03ae1bf3419ebeb6e29f59d1d284"),
         ],
     )
     def test_root_isolation_stdout(self, capsys, tmp_path, probe_json, argv, digest):
@@ -554,7 +571,8 @@ class TestGoldenOutputs:
 
 
 def test_commands_run_without_importing_sympy(tmp_path, probe_json):
-    """sympy costs about 0.3 s and 36 MB on import; the command line needs none of it."""
+    """sympy costs about 0.3 s and 36 MB on import, and dataclasses pulls in inspect,
+    ast and dis; the command line needs none of them."""
     path = tmp_path / "probe.json"
     path.write_text(json.dumps(probe_json(BIG_N)))
     script = (
@@ -565,14 +583,14 @@ def test_commands_run_without_importing_sympy(tmp_path, probe_json):
         "    assert main(['scan', '--algebra', 'sl2 o+ sl2',\n"
         "                 '--module', 'V(2) (x) V(0) o+ V(0) (x) V(1)']) == 0\n"
         "    assert main(['scan', '--input', sys.argv[1]]) == 0\n"
-        "print('sympy' in sys.modules)\n"
+        "print('sympy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
     src = str(Path(deltader.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 def test_package_has_no_runtime_dependency():

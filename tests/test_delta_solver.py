@@ -26,7 +26,7 @@ from deltader.lie_core import (
     sl2_module,
     trivial_module,
 )
-from deltader.linalg import spans_equal
+from deltader.linalg import nullspace_gauss, pencil_eliminate, spans_equal
 
 F = Fraction
 
@@ -259,23 +259,44 @@ class TestScan:
         assert rank_at(sympy.Rational(3, 7)) == 2
 
 
-def _pencil_of(L, V, monkeypatch):
-    """The pivots and generic rank that scan's pencil elimination returns."""
-    seen = []
-    real = delta_solver.pencil_eliminate
+class TestComponents:
+    """The blocks that scan eliminates one by one."""
 
-    def capture(rows, ncols):
-        seen.append(real(rows, ncols))
-        return seen[-1]
+    @pytest.mark.parametrize(
+        "algebra, module, count, widest",
+        [("sl3", "adjoint", 19, 10), ("sl4", "adjoint", 55, 21), ("sl5", "adjoint", 131, 36)],
+    )
+    def test_builtin_blocks(self, algebra, module, count, widest):
+        L, parts = parse_algebra_descriptor(algebra)
+        V, _ = parse_module_descriptor(module, L, parts)
+        system = assemble_system(L, V)
+        blocks = delta_solver._components(system)
+        assert len(blocks) == count
+        assert max(len(cols) for _, cols in blocks) == widest
+        seen_rows, seen_cols = [], []
+        for rows, cols in blocks:
+            assert rows == sorted(rows) and cols == sorted(cols)
+            for r in rows:
+                assert system.a_part[r].keys() | system.b_part[r].keys() <= set(cols)
+            seen_rows += rows
+            seen_cols += cols
+        assert sorted(seen_rows) == [r for r in range(system.rows) if system.a_part[r]
+                                     or system.b_part[r]]
+        assert len(set(seen_cols)) == len(seen_cols)
 
-    monkeypatch.setattr(delta_solver, "pencil_eliminate", capture)
-    scan(L, V)
-    (result,) = seen
-    return result
+    def test_probe_is_one_block(self, probe):
+        assert delta_solver._components(assemble_system(*probe)) == [([0, 1], [2, 3])]
+
+
+def _pencil_of(L, V):
+    """The pivots and rank of one pencil elimination over the whole system."""
+    system = assemble_system(L, V)
+    rows = system.pencil(range(system.rows), range(system.cols))
+    return pencil_eliminate(rows, system.cols)
 
 
 class TestPencilPivots:
-    """The full pivot sequence of scan's pencil, pinned: count, rank, sha256 of the list."""
+    """The full pivot sequence of the whole pencil, pinned: count, rank, sha256 of the list."""
 
     @pytest.mark.parametrize(
         "algebra, module, count, digest",
@@ -288,18 +309,77 @@ class TestPencilPivots:
              "80f1591c0110de4488463d4229e11c3b9704d576b723f5d76f0d098a3276530e"),
         ],
     )
-    def test_builtin_pivots(self, monkeypatch, algebra, module, count, digest):
+    def test_builtin_pivots(self, algebra, module, count, digest):
         L, parts = parse_algebra_descriptor(algebra)
         V, _ = parse_module_descriptor(module, L, parts)
-        pivots, rank = _pencil_of(L, V, monkeypatch)
+        pivots, rank = _pencil_of(L, V)
         assert rank == len(pivots) == count
         text = ";".join(str(p) for p in pivots)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    def test_probe_pivots(self, probe, monkeypatch):
-        pivots, rank = _pencil_of(*probe, monkeypatch)
+    def test_probe_pivots(self, probe):
+        pivots, rank = _pencil_of(*probe)
         assert rank == 2
         assert pivots == [Poly([1]), Poly([1, 0, -2])]
+
+    def test_blocked_rank_is_the_whole_pencil_rank(self):
+        for algebra, module in (
+            ("sl2", "V(7)"), ("sl3", "adjoint"), ("sl2 o+ sl2", "V(3) (x) V(0) o+ V(0) (x) V(2)")
+        ):
+            L, parts = parse_algebra_descriptor(algebra)
+            V, _ = parse_module_descriptor(module, L, parts)
+            assert scan(L, V).generic_rank == _pencil_of(L, V)[1]
+
+
+def _classical(kind, n):
+    """so(n) or sp(n) over the rationals, with its natural module.
+
+    The algebra is the space of n x n matrices X with X^T J + J X = 0, J
+    antidiagonal for so and skew antidiagonal for sp; its basis is the
+    canonical kernel basis of these equations in the entries of X.  Each
+    basis matrix is 1 at its leading entry and every other basis matrix is
+    0 there, so a bracket's coordinates are its values at the leading entries.
+    """
+    J = [[0] * n for _ in range(n)]
+    for i in range(n):
+        J[i][n - 1 - i] = -1 if kind == "sp" and i >= n // 2 else 1
+    equations = []  # entry (i, k) of X^T J + J X; X[a][b] is unknown a * n + b
+    for i in range(n):
+        for k in range(n):
+            row = [F(0)] * (n * n)
+            for j in range(n):
+                row[j * n + i] += J[j][k]
+                row[j * n + k] += J[i][j]
+            equations.append(row)
+    basis = nullspace_gauss(equations, n * n)
+    leads = [next(c for c, x in enumerate(v) if x) for v in basis]
+    mats = [[v[a * n:(a + 1) * n] for a in range(n)] for v in basis]
+
+    def product(x, y):
+        return [sum(x[a][t] * y[t][b] for t in range(n)) for a in range(n) for b in range(n)]
+
+    entries = []
+    for i, x in enumerate(mats):
+        for j in range(i + 1, len(mats)):
+            bracket = [p - q for p, q in zip(product(x, mats[j]), product(mats[j], x))]
+            entries += [(i, j, k, bracket[c]) for k, c in enumerate(leads) if bracket[c]]
+    alg = algebra_from_structure_constants(len(mats), entries)
+    return alg, representation_from_action(alg, sparse(mats), n)
+
+
+class TestTypesBAndC:
+    """The theorem beyond type A: so(5), so(7), sp(4) and sp(6)."""
+
+    @pytest.mark.parametrize("kind, n", [("so", 5), ("sp", 4), ("so", 7), ("sp", 6)])
+    def test_scan_matches_the_theorem(self, kind, n):
+        L, natural = _classical(kind, n)
+        assert L.dim == (n * (n - 1) // 2 if kind == "so" else n * (n + 1) // 2)
+        report = scan(L, natural)
+        assert report.findings == {F(1): n}
+        assert report.generic_rank == L.dim * n
+        report = scan(L, adjoint_module(L))
+        assert report.findings == {F(1, 2): 1, F(1): L.dim}
+        assert report.generic_rank == L.dim ** 2
 
 
 class TestInnerDerivations:

@@ -88,6 +88,18 @@ class TestStructureConstantConstruction:
         assert alg == sl2
         assert alg.structure == sl2.structure
 
+    def test_equality_ignores_labels_and_fields_are_read_only(self, sl2):
+        relabelled = algebra_from_structure_constants(
+            3, [(0, 1, 0, 2), (0, 2, 1, -1), (1, 2, 2, 2)], labels=("x", "y", "z")
+        )
+        assert relabelled == sl2 and relabelled.basis_labels != sl2.basis_labels
+        with pytest.raises(AttributeError):
+            relabelled.dim = 4
+        module = sl2_module(1)
+        assert module != sl2_module(1) and module == module
+        with pytest.raises(AttributeError):
+            module.dim_v = 3
+
     def test_abelian(self):
         alg = algebra_from_structure_constants(2, [])
         assert alg.dim == 2
