@@ -6,11 +6,12 @@ in ``d`` have integer coefficients: the pivots of the pencil over ZZ[d]
 are integer polynomials, and so is every factor the scan splits off them.
 A polynomial is a trimmed tuple of ints, lowest degree first, with ``()``
 the zero polynomial.  ``Poly`` wraps one for the pivots and the scan's
-report; the tuple functions below work on the raw tuples, so that the
-pencil's inner loop creates no objects but tuples.  Rational roots are
-found by p-adic lifting and rational reconstruction, and each is confirmed
-by an exact integer evaluation; no integer is ever factored.
-No floating point is used anywhere.
+report; root isolation and the deflation of found roots work on the raw
+tuples.  The pencil elimination holds its entries as single integers
+instead (see ``linalg.pencil_eliminate``).  Rational roots are found by
+p-adic lifting and rational reconstruction, and each is confirmed by an
+exact integer evaluation; no integer is ever factored.  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations
@@ -40,42 +41,12 @@ def _ptrim(cs: list[int]) -> Coeffs:
     return tuple(cs)
 
 
-def pmul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    if len(a) == 1:  # from a list: a tuple built from an iterator raised the peak memory
-        return tuple([a[0] * y for y in b])
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ptrim(out)
-
-
-def psub(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not b:
-        return a
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    return _ptrim(out)
-
-
 def pdivexact(a: Coeffs, b: Coeffs) -> Coeffs:
     """Exact division in ZZ[d]; raises ArithmeticError if it leaves a remainder."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ()
-    if len(b) == 1:  # the common case: the previous pivot is a constant
-        out = []
-        for x in a:
-            q, r = divmod(x, b[0])
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            out.append(q)
-        return tuple(out)
     rem = list(a)
     out = [0] * (len(a) - len(b) + 1)
     blead = b[-1]

@@ -15,18 +15,24 @@ kernel, under the ambient coordinate order, with pivot entries 1.
 ``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on a dense
 one-parameter matrix family, recording every pivot polynomial.  Pivots are
 chosen by lowest degree first (ties by column, then row), which keeps the
-degrees of recorded pivots small.  The scan calls it once per connected
-component of its sparse pencil: rank is additive over the blocks of a
-block-diagonal matrix, and each block's last pivot is a maximal minor of
-that block, which vanishes wherever the block's rank drops.
+degrees of recorded pivots small.  Each entry p is held as the single
+integer p(2^k) (Kronecker substitution), k chosen from the product of the
+largest row norms so that the coefficients of every minor lie below
+2^(k-2) in absolute value.  The arithmetic is then that of ZZ[d] on one
+integer per entry, the degree of an entry is its bit length floor-divided
+by k, and only the recorded pivots are turned back into polynomials.  The
+scan calls it once per connected component of its sparse pencil: rank is
+additive over the blocks of a block-diagonal matrix, and each block's last
+pivot is a maximal minor of that block, which vanishes wherever the block's
+rank drops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .exact_arith import Coeffs, Poly, pdivexact, pmul, psub
+from .exact_arith import Coeffs, Poly
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -160,18 +166,57 @@ def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction
     return tuple(map(tuple, basis.values()))
 
 
+def _pack(e: Coeffs, k: int) -> int:
+    """The integer e(2^k)."""
+    v = 0
+    for c in reversed(e):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> Poly:
+    """The polynomial p with p(2^k) = v whose coefficients lie in (-2^(k-1), 2^(k-1)]."""
+    mask, half, cs = (1 << k) - 1, 1 << (k - 1), []
+    while v:
+        c = v & mask
+        if c > half:
+            c -= 1 << k
+        cs.append(c)
+        v = (v - c) >> k
+    return Poly(cs)
+
+
 def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], int]:
     """Fraction-free elimination over ZZ[d] on a polynomial matrix.
 
     Entries are coefficient tuples (see exact_arith).  Returns the recorded
-    pivot polynomials (in pivot order, unnormalized) and the rank over the rational function field.
-    Pivot selection: minimal degree, ties broken by column then row index,
-    which favors constant pivots and keeps recorded-pivot degrees low.
+    pivot polynomials (in pivot order, unnormalized) and the rank over the
+    rational function field.  Pivot selection: minimal degree, ties broken by
+    column then row index, which favors constant pivots and keeps
+    recorded-pivot degrees low.
+
+    Each entry p is held as the single integer p(2^k), a Kronecker
+    substitution.  Evaluation at 2^k is a ring homomorphism, so a Bareiss step
+    ``(piv*x - mult*y) / prev`` is two integer products, a subtraction and an
+    exact integer division; a remainder raises ArithmeticError.  Every entry
+    the elimination produces is a minor of the input, and the coefficient l1
+    norm of a minor is at most the product of the l1 norms of its rows, so at
+    most the product of the ncols largest row norms.  With k two more than
+    the bit length of that bound, every coefficient is below 2^(k-2) in
+    absolute value.  Then p(2^k) is c*2^(k*n) (n = deg p, c the leading
+    coefficient) plus less than 2^(k*n - 1) in absolute value: it is 0 only
+    for p = 0, its bit length lies in [k*n, k*n + k - 1], so the bit length
+    floor-divided by k is exactly the degree the pivot rule compares, and its
+    balanced base-2^k digits are the coefficients of p.  Only the recorded
+    pivots are unpacked.
     """
-    m = [list(r) for r in rows if any(r)]
+    rows = [r for r in rows if any(r)]
+    norms = sorted((sum(abs(c) for e in r for c in e) for r in rows), reverse=True)
+    k = prod(norms[:ncols]).bit_length() + 2
+    m = [[_pack(e, k) for e in r] for r in rows]
     pivot_polys: list[Poly] = []
     t = 0
-    prev: Coeffs = (1,)
+    prev = 1
     while t < len(m) and t < ncols:
         best = None
         for r in range(t, len(m)):
@@ -179,7 +224,7 @@ def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], 
             for c in range(t, ncols):
                 e = row[c]
                 if e:
-                    key = (len(e) - 1, c, r)
+                    key = (abs(e).bit_length() // k, c, r)
                     if best is None or key < best:
                         best = key
         if best is None:
@@ -192,21 +237,25 @@ def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], 
                 row[t], row[c] = row[c], row[t]
         top = m[t]
         piv = top[t]
-        pivot_polys.append(Poly(piv))
-        exact = prev != (1,)
+        pivot_polys.append(_unpack(piv, k))
+        exact = prev != 1
         for i in range(t + 1, len(m)):
             row = m[i]
             mult = row[t]
             for j in range(t + 1, ncols):
                 x, y = row[j], top[j]
                 if mult and y:
-                    num = psub(pmul(piv, x), pmul(mult, y))
+                    num = piv * x - mult * y
                 elif x:
-                    num = pmul(piv, x)
+                    num = piv * x
                 else:
                     continue
-                row[j] = pdivexact(num, prev) if exact else num
-            row[t] = ()
+                if exact:
+                    num, rem = divmod(num, prev)
+                    if rem:
+                        raise ArithmeticError("inexact polynomial division")
+                row[j] = num
+            row[t] = 0
         m = m[: t + 1] + [r for r in m[t + 1 :] if any(r)]
         prev = piv
         t += 1

@@ -26,7 +26,7 @@ from deltader.lie_core import (
     sl2_module,
     trivial_module,
 )
-from deltader.linalg import nullspace_gauss, pencil_eliminate, spans_equal
+from deltader.linalg import nullspace_gauss, pencil_eliminate, rref, spans_equal
 
 F = Fraction
 
@@ -295,6 +295,45 @@ def _pencil_of(L, V):
     return pencil_eliminate(rows, system.cols)
 
 
+def _unimodular(n):
+    """A fixed integer matrix of determinant +-1 with its inverse: the unit upper
+    bidiagonal matrix with superdiagonal 1, -1, 1, ..., its columns reversed."""
+    t = [[F(1) if c == r else F((-1) ** r) if c == r + 1 else F(0) for c in range(n)][::-1]
+         for r in range(n)]
+    reduced, _ = rref([row + [F(int(c == r)) for c in range(n)] for r, row in enumerate(t)])
+    return t, [row[n:] for row in reduced]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _scrambled(L, V):
+    """L and V in the bases f_i = sum_a T[a][i] e_a and S^-1 v (T, S from _unimodular).
+
+    Every bracket and action becomes dense, and the pencil has one block.
+    """
+    t, t_inv = _unimodular(L.dim)
+    s, s_inv = _unimodular(V.dim_v)
+    mats = [V.action_matrix(a) for a in range(L.dim)]
+    entries, actions = [], []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            image = [F(0)] * L.dim
+            for a in range(L.dim):
+                for b in range(L.dim):
+                    if t[a][i] and t[b][j]:
+                        for k, x in enumerate(L.bracket_basis(a, b)):
+                            image[k] += t[a][i] * t[b][j] * x
+            coords = [sum(x * y for x, y in zip(row, image)) for row in t_inv]
+            entries += [(i, j, k, c) for k, c in enumerate(coords) if c]
+        combined = [[sum(t[a][i] * mats[a][r][q] for a in range(L.dim))
+                     for q in range(V.dim_v)] for r in range(V.dim_v)]
+        actions.append(_matmul(_matmul(s_inv, combined), s))
+    scrambled = algebra_from_structure_constants(L.dim, entries)
+    return scrambled, representation_from_action(scrambled, sparse(actions), V.dim_v)
+
+
 class TestPencilPivots:
     """The full pivot sequence of the whole pencil, pinned: count, rank, sha256 of the list."""
 
@@ -316,6 +355,18 @@ class TestPencilPivots:
         assert rank == len(pivots) == count
         text = ";".join(str(p) for p in pivots)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_scrambled_tensor_pivots(self):
+        # the dense one-block pencil of a scrambled input, as scan --input meets it
+        L, parts = parse_algebra_descriptor("sl2 o+ sl2")
+        V, _ = parse_module_descriptor("V(1) (x) V(0) o+ V(0) (x) V(2)", L, parts)
+        L, V = _scrambled(L, V)
+        assert len(delta_solver._components(assemble_system(L, V))) == 1
+        pivots, rank = _pencil_of(L, V)
+        assert rank == len(pivots) == 30
+        text = ";".join(str(p) for p in pivots)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7daae46e9614b53fe9b37438a9f03b41aeb48a75e4bc37d6917c29444f23741f")
 
     def test_probe_pivots(self, probe):
         pivots, rank = _pencil_of(*probe)

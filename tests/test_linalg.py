@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader.exact_arith import pdivexact, pmul, psub
+from deltader.exact_arith import Poly, pdivexact
 from deltader.linalg import (
     canonical_basis,
     nullspace_bareiss,
@@ -144,11 +144,72 @@ class TestNullspaceRoutes:
                 )
 
 
+def _ptrim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _pmul(a, b):
+    """The product of two coefficient tuples, schoolbook."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ptrim(out)
+
+
+def _psub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] -= y
+    return _ptrim(out)
+
+
+def tuple_pencil_eliminate(rows, ncols):
+    """Reference route: the same elimination with coefficient tuples as entries.
+
+    Same pivot rule (minimal degree, then column, then row) and the same
+    Bareiss steps, on polynomials held as tuples, divided by ``pdivexact``.
+    """
+    m = [list(r) for r in rows if any(r)]
+    pivots = []
+    t = 0
+    prev = (1,)
+    while t < len(m) and t < ncols:
+        keys = [(len(m[r][c]) - 1, c, r) for r in range(t, len(m))
+                for c in range(t, ncols) if m[r][c]]
+        if not keys:
+            break
+        _, c, r = min(keys)
+        m[t], m[r] = m[r], m[t]
+        for row in m[t:]:
+            row[t], row[c] = row[c], row[t]
+        top = m[t]
+        piv = top[t]
+        pivots.append(Poly(piv))
+        for row in m[t + 1:]:
+            mult = row[t]
+            for j in range(t + 1, ncols):
+                num = _psub(_pmul(piv, row[j]), _pmul(mult, top[j]))
+                row[j] = pdivexact(num, prev) if num else ()
+            row[t] = ()
+        m = m[: t + 1] + [r for r in m[t + 1:] if any(r)]
+        prev = piv
+        t += 1
+    return pivots, t
+
+
 class TestIntPolynomials:
     def test_mul_and_sub(self):
-        assert pmul((1, 1), (1, 1)) == (1, 2, 1)
-        assert psub((1, 2, 1), (1, 2, 1)) == ()
-        assert pmul((), (1, 2)) == ()
+        # the reference route's own arithmetic
+        assert _pmul((1, 1), (1, 1)) == (1, 2, 1)
+        assert _psub((1, 2, 1), (1, 2, 1)) == ()
+        assert _pmul((), (1, 2)) == ()
+        assert _psub((1,), (0, -1)) == (1, 1)
 
     def test_exact_division(self):
         assert pdivexact((1, 2, 1), (1, 1)) == (1, 1)
@@ -159,6 +220,54 @@ class TestIntPolynomials:
         for a in ((1, 1), ()):
             with pytest.raises(ZeroDivisionError):
                 pdivexact(a, ())
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Up to 8 x 6 matrices over ZZ[d], entries of degree 0-3 with coefficients
+    small (many ties and cancellations) or up to +-2^64, with zero rows and
+    rows that are ZZ[d]-combinations of others mixed in."""
+    ncols = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    coeff = draw(st.sampled_from([
+        small,
+        st.one_of(small, st.sampled_from([2**64, -2**64, 2**64 - 1, 1 - 2**64])),
+        st.integers(-2**64, 2**64),
+    ]))
+    entry = st.lists(coeff, max_size=4).map(_ptrim)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    for r in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        if draw(st.booleans()):
+            rows[r] = [()] * ncols
+        else:
+            a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            u, v = (draw(st.lists(small, max_size=2).map(_ptrim)) for _ in range(2))
+            rows[r] = [_psub(_pmul(u, x), _pmul(v, y)) for x, y in zip(rows[a], rows[b])]
+    return rows, ncols
+
+
+class TestPencilAgainstTuples:
+    """``pencil_eliminate`` on packed integers against the tuple reference route."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polynomial_matrices())
+    def test_same_pivots_and_rank(self, case):
+        rows, ncols = case
+        assert pencil_eliminate(rows, ncols) == tuple_pencil_eliminate(rows, ncols)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**63, 2**64 - 1, 2**64, 2**64 + 1])
+    def test_coefficients_at_the_row_norm_bound(self, n):
+        # a lone entry's coefficients reach its row norm, which is the bound, or half
+        # of it; the second pivot of a diagonal pencil is the product of both row norms
+        for entry in [(n,), (-n,), (-n, 0, n), (0, 0, -n), (n, -n)]:
+            pivots, rank = pencil_eliminate([[entry]], 1)
+            assert rank == 1 and pivots == [Poly(entry)]
+            assert pivots[0].degree == len(entry) - 1
+        for lead in (n, -n):
+            rows = [[(n,), ()], [(), (0, 0, lead)]]
+            pivots, rank = pencil_eliminate(rows, 2)
+            assert rank == 2 and pivots == [Poly([n]), Poly([0, 0, n * lead])]
+            assert pivots == tuple_pencil_eliminate(rows, 2)[0]
 
 
 class TestPencilEliminate:
