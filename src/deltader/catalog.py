@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import delta_solver, lie_core
 from .delta_solver import DerivationMap, ShapeMismatch
-from .linalg import spans_equal
+from .linalg import nullspace_bareiss
 
 CASE_DELTA_ONE = "delta_one"
 CASE_MINUS_TWO_OVER_N = "minus_two_over_n"
@@ -152,14 +152,22 @@ def identity_derivation(dim: int) -> DerivationMap:
 
 
 def span_equal(b1, b2) -> bool:
-    """Exact equality of the spans of two lists of equally shaped maps."""
-    shapes = {(len(D), len(D[0]) if D else 0) for D in list(b1) + list(b2)}
+    """Exact equality of the spans of two lists of equally shaped maps.
+
+    Two spans are equal exactly when their kernels (orthogonal complements)
+    are, and each kernel comes back as its canonical basis.
+    """
+    b1, b2 = list(b1), list(b2)
+    shapes = {(len(D), len(D[0]) if D else 0) for D in b1 + b2}
     if len(shapes) > 1:
         raise ShapeMismatch(f"maps of different shapes: {sorted(shapes)}")
-    return spans_equal(
-        [list(delta_solver.map_to_vector(D)) for D in b1],
-        [list(delta_solver.map_to_vector(D)) for D in b2],
-    )
+    dim, dim_v = shapes.pop() if shapes else (0, 0)
+
+    def kernel(maps):
+        rows = [{c: x for c, x in enumerate(delta_solver.map_to_vector(D)) if x} for D in maps]
+        return nullspace_bareiss(rows, dim * dim_v)
+
+    return kernel(b1) == kernel(b2)
 
 
 _MODULE_DIMS = {"natural": lambda m: m, "adjoint": lambda m: m * m - 1}

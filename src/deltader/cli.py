@@ -19,6 +19,7 @@ check failure (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -473,6 +474,7 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltader",

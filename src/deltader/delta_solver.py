@@ -30,12 +30,7 @@ from typing import NamedTuple
 
 from .exact_arith import Coeffs, Poly, pdivexact, poly_normalize, poly_rational_roots
 from .lie_core import AlgebraMismatch, LieAlgebra, Representation, weight_decomposition
-from .linalg import (
-    Vec,
-    canonical_basis,
-    nullspace_bareiss,
-    pencil_eliminate,
-)
+from .linalg import nullspace_bareiss, pencil_eliminate, rref
 
 
 class ShapeMismatch(Exception):
@@ -135,7 +130,7 @@ class ScanReport(NamedTuple):
     generic_rank: int
 
 
-def map_to_vector(D: DerivationMap) -> Vec:
+def map_to_vector(D: DerivationMap) -> list[Fraction]:
     return [x for row in D for x in row]
 
 
@@ -273,16 +268,18 @@ def inner_derivations(L: LieAlgebra, V: Representation) -> DerivationSpace:
     """The maps x -> x . v, which solve the equation at d = 1.
 
     The inner map of v vanishes exactly when v is invariant, so the
-    dimension is dim V minus the dimension of the invariants.
+    dimension is dim V minus the dimension of the invariants.  The basis is
+    the canonical one of the span of the maps of the module basis.
     """
     if V.algebra != L:
         raise AlgebraMismatch("module is not a representation of this algebra")
     dim, dim_v = L.dim, V.dim_v
-    generators: list[Vec] = []
-    for m in range(dim_v):
-        generators.append([V.action[a][r].get(m, 0) for a in range(dim) for r in range(dim_v)])
+    generators = [
+        {a * dim_v + r: x for a in range(dim) for r in range(dim_v) if (x := V.action[a][r].get(m))}
+        for m in range(dim_v)
+    ]
     system = assemble_system(L, V)
-    return _space_from_vectors(system, Fraction(1), canonical_basis(generators))
+    return _space_from_vectors(system, Fraction(1), rref(generators, dim * dim_v))
 
 
 def _strip_rational_roots(p: Poly, roots) -> Poly:
@@ -389,9 +386,9 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     # The elimination works on untracked integers, so it rarely triggers an
     # automatic collection, and the reference cycles left by earlier work
     # stay in memory until one runs: after an input-dense scan job, the full
-    # collection here frees about 260 cyclic objects (the command line's
-    # argparse parsers) and about 1000 allocator blocks, mostly from
-    # CPython's free lists, which only a full collection empties.  One
+    # collection here frees about 30 cyclic objects (the closures of the
+    # previous job's JSON encoder) and about 850 allocator blocks, mostly
+    # from CPython's free lists, which only a full collection empties.  One
     # collection after the last block suffices.
     gc.collect()
 

@@ -25,11 +25,14 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p", "p/q" or "-p/q" into a Fraction.  Decimals are rejected."""
+    """Parse "p", "p/q" or "-p/q" into a Fraction.  Decimals and q = 0 are rejected."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not an integer or integer fraction: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 Coeffs = tuple[int, ...]  # trimmed, lowest degree first; () is the zero polynomial

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, SparseRow, Vec, canonical_basis, nullspace_bareiss
+from .linalg import SparseRow, nullspace_bareiss
 
 
 class JacobiViolation(Exception):
@@ -87,22 +87,10 @@ class LieAlgebra:
             and self.summand_boundaries == other.summand_boundaries
         )
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        """[e_i, e_j] as a dense coordinate vector."""
-        out = [Fraction(0)] * self.dim
-        if i == j:
-            return out
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self.structure.get((i, j), ()):
-            out[k] += sign * c
-        return out
-
     def commutant_dimension(self) -> int:
-        """Dimension of [L, L], the span of all basis brackets."""
-        vectors = [self.bracket_basis(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
-        return len(canonical_basis(vectors))
+        """Dimension of [L, L]: dim L minus the kernel dimension of the bracket rows."""
+        rows = [dict(terms) for terms in self.structure.values()]
+        return self.dim - len(nullspace_bareiss(rows, self.dim))
 
 
 def _check_jacobi(alg: LieAlgebra) -> None:
@@ -201,7 +189,7 @@ class Representation:
     def __setattr__(self, name, value):
         raise AttributeError("Representation is read-only")
 
-    def action_matrix(self, i: int) -> Mat:
+    def action_matrix(self, i: int) -> list[list[Fraction]]:
         """The action of e_i as a dense matrix."""
         m = [[Fraction(0)] * self.dim_v for _ in range(self.dim_v)]
         for r, row in enumerate(self.action[i]):

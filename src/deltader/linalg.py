@@ -1,16 +1,15 @@
 """Exact linear algebra over the rationals and over integer polynomials.
 
-Two independent kernel routes are kept deliberately separate:
-
-* ``nullspace_bareiss`` is the production route for the fixed-d systems,
-  which are a few percent nonzero.  It takes sparse rows (``{column:
-  entry}``), scales each to a primitive integer row and eliminates
-  fraction-free on those rows only: no Fraction arithmetic, no dense matrix.
-* ``nullspace_gauss`` is a plain dense Gauss-Jordan elimination on
-  Fractions, used as an oracle for the production route.
-
-Both return the same canonical basis: the reduced row echelon form of the
-kernel, under the ambient coordinate order, with pivot entries 1.
+``nullspace_bareiss`` is the package's one kernel route, for the fixed-d
+systems (a few percent nonzero) and for every span question.  It takes
+sparse rows (``{column: entry}``), scales each to a primitive integer row
+and eliminates fraction-free on those rows only: no Fraction arithmetic, no
+dense matrix.  It returns the canonical basis of the kernel: its reduced row
+echelon form under the ambient coordinate order, with pivot entries 1.  A
+subspace is the kernel of its own kernel, so ``rref`` gets the canonical
+basis of a span from two of its calls, and two spans are equal exactly when
+their kernels are.  A dense Gauss-Jordan elimination on Fractions is kept in
+``tests/oracle.py`` as the independent oracle it is tested against.
 
 ``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on a dense
 one-parameter matrix family, recording every pivot polynomial.  Pivots are
@@ -34,59 +33,7 @@ from math import gcd, lcm, prod
 
 from .exact_arith import Coeffs, Poly
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
 SparseRow = dict[int, Fraction]  # column -> entry; int entries are fine too
-
-
-def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def canonical_basis(vectors: list[Vec]) -> tuple[tuple[Fraction, ...], ...]:
-    """Unique canonical basis of the span: RREF rows, zero rows dropped."""
-    reduced, pivots = rref(vectors)
-    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
-
-
-def spans_equal(a: list[Vec], b: list[Vec]) -> bool:
-    return canonical_basis(a) == canonical_basis(b)
-
-
-def nullspace_gauss(rows: list[Vec], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Kernel basis via plain Gauss-Jordan on Fractions (reference route)."""
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][f]
-        basis.append(v)
-    return canonical_basis(basis)
 
 
 def _divide_content(row: dict[int, int]) -> None:
@@ -110,7 +57,7 @@ def _primitive(row: SparseRow) -> dict[int, int]:
 
 
 def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Kernel basis via sparse integer fraction-free elimination (production route).
+    """Kernel basis via sparse integer fraction-free elimination.
 
     Rows (``{column: rational}``) are scaled to primitive integer rows.
     Gauss-Jordan elimination takes pivots from the last column down, each
@@ -164,6 +111,16 @@ def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction
             if f != p:
                 basis[f][p] = Fraction(-x, row[p])
     return tuple(map(tuple, basis.values()))
+
+
+def rref(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero rows of the reduced row echelon form: the canonical basis of the span.
+
+    A subspace is the kernel of its own kernel, and ``nullspace_bareiss``
+    returns the canonical basis of a kernel, so two of its calls give it.
+    """
+    kernel = nullspace_bareiss(rows, ncols)
+    return nullspace_bareiss([{c: x for c, x in enumerate(v) if x} for v in kernel], ncols)
 
 
 def _pack(e: Coeffs, k: int) -> int:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from deltader import lie_core
+from oracle import sparse
 
 
 @pytest.fixture(scope="session")
@@ -38,11 +39,6 @@ def v_modules():
 
 def F(a, b=1):
     return Fraction(a, b)
-
-
-def sparse(matrices):
-    """Dense action matrices as the {column: value} rows the package stores."""
-    return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,80 @@
+"""Dense reference routines the tests check the package against.
+
+A plain Gauss-Jordan elimination on Fractions (``rref``) and what follows
+from it: the canonical basis of a span, span equality and the kernel.  It
+shares no code with ``deltader.linalg.nullspace_bareiss``, the package's
+only elimination, and both give the same canonical basis: the reduced row
+echelon form, with pivot entries 1 and zero rows dropped.
+"""
+
+from fractions import Fraction
+
+Vec = list[Fraction]
+
+
+def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
+    m = [list(map(Fraction, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def canonical_basis(vectors: list[Vec]) -> tuple[tuple[Fraction, ...], ...]:
+    """Unique canonical basis of the span: RREF rows, zero rows dropped."""
+    reduced, pivots = rref(vectors)
+    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def spans_equal(a: list[Vec], b: list[Vec]) -> bool:
+    return canonical_basis(a) == canonical_basis(b)
+
+
+def nullspace_gauss(rows: list[Vec], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Kernel basis via plain Gauss-Jordan on Fractions."""
+    reduced, pivots = rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis: list[Vec] = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][f]
+        basis.append(v)
+    return canonical_basis(basis)
+
+
+def bracket(L, i: int, j: int) -> Vec:
+    """[e_i, e_j] of the algebra L as a dense coordinate vector."""
+    out = [Fraction(0)] * L.dim
+    if i == j:
+        return out
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for k, c in L.structure.get((i, j), ()):
+        out[k] += sign * c
+    return out
+
+
+def sparse(matrices):
+    """Dense action matrices as the {column: value} rows the package stores."""
+    return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]

@@ -100,6 +100,7 @@ class TestSpanEqual:
     def test_different_spans(self):
         b = expected_sl2_basis(2, CASE_MINUS_TWO_OVER_N)
         assert not span_equal(b[:2], b[2:4])
+        assert not span_equal(iter(b[:2]), iter(b[2:4]))  # one pass over each argument
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -110,6 +111,9 @@ class TestSpanEqual:
 
     def test_empty_spans_agree(self):
         assert span_equal([], [])
+        zero = ((F(0), F(0)), (F(0), F(0)))
+        assert span_equal([], [zero])
+        assert not span_equal([], [((F(0), F(1)), (F(0), F(0)))])
 
 
 class TestTheoremDimension:

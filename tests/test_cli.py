@@ -237,10 +237,13 @@ class TestSolveCommand:
         assert "delta" in err
 
     def test_decimal_delta_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "solve", "--algebra", "sl2", "--module", "V(2)", "--delta", "0.5"
-        )
-        assert code == 2
+        for delta in ("0.5", "1/0"):
+            code, out, err = run_cli(
+                capsys, "solve", "--algebra", "sl2", "--module", "V(2)", "--delta", delta
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_module(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--algebra", "sl2", "--delta", "1")
@@ -467,10 +470,14 @@ class TestDescribeAndRoundTrip:
              "module": {"action": [[["0", "1"], ["0", "0"]]]}},
             {"algebra": {"dim": 1, "brackets": []},
              "module": {"dim": 2, "action": [[["0", "0"], ["0", "0"]]], "weights": [[1], "x", 3]}},
+            {"algebra": {"dim": 2, "brackets": [[0, 1, 1, "1/0"]]},
+             "module": {"dim": 1, "action": [[["0"]], [["0"]]]}},
+            {"algebra": {"dim": 1, "brackets": []},
+             "module": {"dim": 2, "action": [[["0", "1/0"], ["0", "0"]]]}},
         ],
         ids=["brackets-not-a-list", "short-bracket-entry", "action-not-a-list", "top-level-list",
              "top-level-string", "module-dim-mismatch", "ragged-action-row", "module-without-dim",
-             "weights-not-dim-integers"],
+             "weights-not-dim-integers", "zero-denominator-bracket", "zero-denominator-action"],
     )
     def test_malformed_shapes_are_input_errors(self, capsys, tmp_path, payload):
         path = tmp_path / "shape.json"

@@ -26,13 +26,10 @@ from deltader.lie_core import (
     sl2_module,
     trivial_module,
 )
-from deltader.linalg import nullspace_gauss, pencil_eliminate, rref, spans_equal
+from deltader.linalg import pencil_eliminate
+from oracle import bracket, canonical_basis, nullspace_gauss, rref, sparse, spans_equal
 
 F = Fraction
-
-
-def sparse(matrices):
-    return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]
 
 
 def span_of(maps):
@@ -323,7 +320,7 @@ def _scrambled(L, V):
             for a in range(L.dim):
                 for b in range(L.dim):
                     if t[a][i] and t[b][j]:
-                        for k, x in enumerate(L.bracket_basis(a, b)):
+                        for k, x in enumerate(bracket(L, a, b)):
                             image[k] += t[a][i] * t[b][j] * x
             coords = [sum(x * y for x, y in zip(row, image)) for row in t_inv]
             entries += [(i, j, k, c) for k, c in enumerate(coords) if c]
@@ -441,11 +438,20 @@ class TestInnerDerivations:
     def test_trivial_module_has_none(self, sl2):
         assert inner_derivations(sl2, trivial_module(sl2, 3)).dimension == 0
 
-    def test_matches_solver_at_one(self, sl3, sl3_natural):
+    def test_matches_solver_at_one(self, sl2, v_modules, sl3, sl3_natural, sl3_adjoint):
         inner = inner_derivations(sl3, sl3_natural)
         direct = solve(sl3, sl3_natural, F(1))
         assert inner.dimension == 3
-        assert spans_equal(span_of(inner.basis), span_of(direct.basis))
+        assert inner.basis == direct.basis
+        # the canonical basis of the span of the maps x -> x . v_m, by the oracle
+        cases = [(sl2, v_modules[n]) for n in range(1, 5)]
+        cases += [(sl2, direct_sum_modules([v_modules[0], v_modules[2]])), (sl3, sl3_adjoint)]
+        for L, V in cases:
+            mats = [V.action_matrix(a) for a in range(L.dim)]
+            generators = [[x[r][m] for x in mats for r in range(V.dim_v)] for m in range(V.dim_v)]
+            inner = inner_derivations(L, V)
+            assert tuple(map(tuple, span_of(inner.basis))) == canonical_basis(generators)
+            assert inner.basis == solve(L, V, F(1)).basis
 
     def test_counts_invariants(self, sl2, v_modules):
         module = direct_sum_modules([v_modules[0], v_modules[2]])

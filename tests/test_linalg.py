@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltader import linalg
 from deltader.exact_arith import Poly, pdivexact
-from deltader.linalg import (
-    canonical_basis,
-    nullspace_bareiss,
-    nullspace_gauss,
-    pencil_eliminate,
-    rref,
-    spans_equal,
-)
+from deltader.linalg import nullspace_bareiss, pencil_eliminate
+from oracle import canonical_basis, nullspace_gauss, rref, spans_equal
 
 F = Fraction
 
@@ -32,7 +27,7 @@ def random_matrix(rng, rows, cols):
 
 
 def sparse(m):
-    """Dense rows as the {column: nonzero entry} rows the production route takes."""
+    """Dense rows as the {column: nonzero entry} rows nullspace_bareiss takes."""
     return [{c: x for c, x in enumerate(row) if x} for row in m]
 
 
@@ -127,6 +122,7 @@ class TestNullspaceRoutes:
     def test_sparse_route_matches_gauss_oracle(self, case):
         m, cols = case
         assert nullspace_bareiss(sparse(m), cols) == nullspace_gauss(m, cols)
+        assert linalg.rref(sparse(m), cols) == canonical_basis(m)
 
     def test_integer_and_unscaled_rows_agree(self):
         # rows may hold ints or Fractions; scaling a row changes nothing
