@@ -383,6 +383,13 @@ def _load_inputs(job: argparse.Namespace) -> tuple[LieAlgebra, Representation, d
             data = json.load(fh)
         if not isinstance(data, dict) or "algebra" not in data or "module" not in data:
             raise SemanticError("input file needs 'algebra' and 'module' entries")
+        # one action per basis element, checked before the Jacobi check's C(dim, 3) triples
+        alg, mod = data["algebra"], data["module"]
+        _require(isinstance(alg, dict) and "dim" in alg, "'algebra' must be an object with 'dim'")
+        dim = _integer(alg["dim"])
+        _require(isinstance(mod, dict) and isinstance(mod.get("action"), list)
+                 and len(mod["action"]) == dim,
+                 f"'action' must be a list of {dim} matrices, one per algebra basis element")
         algebra = algebra_from_json(data["algebra"])
         module = module_from_json(data["module"], algebra)
         return algebra, module, meta

@@ -205,11 +205,10 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
     return True, None
 
 
-def _space_from_vectors(system: DerivationSystem, delta: Fraction, vectors) -> DerivationSpace:
-    dim, dim_v = system.algebra.dim, system.module.dim_v
-    maps = tuple(vector_to_map(v, dim, dim_v) for v in vectors)
+def _space_from_vectors(L: LieAlgebra, V: Representation, delta, vectors) -> DerivationSpace:
+    maps = tuple(vector_to_map(v, L.dim, V.dim_v) for v in vectors)
     for D in maps:
-        ok, witness = is_delta_derivation(D, system.algebra, system.module, delta)
+        ok, witness = is_delta_derivation(D, L, V, delta)
         if not ok:
             raise VerificationFailure(
                 f"kernel element fails the defining equation at pair {witness[:2]}"
@@ -221,7 +220,7 @@ def kernel_at(system: DerivationSystem, delta) -> DerivationSpace:
     """Exact kernel of the pencil specialized at one rational value."""
     delta = Fraction(delta)
     vectors = nullspace_bareiss(system.specialize(delta), system.cols)
-    return _space_from_vectors(system, delta, vectors)
+    return _space_from_vectors(system.algebra, system.module, delta, vectors)
 
 
 def solve(
@@ -278,8 +277,7 @@ def inner_derivations(L: LieAlgebra, V: Representation) -> DerivationSpace:
         {a * dim_v + r: x for a in range(dim) for r in range(dim_v) if (x := V.action[a][r].get(m))}
         for m in range(dim_v)
     ]
-    system = assemble_system(L, V)
-    return _space_from_vectors(system, Fraction(1), rref(generators, dim * dim_v))
+    return _space_from_vectors(L, V, Fraction(1), rref(generators, dim * dim_v))
 
 
 def _strip_rational_roots(p: Poly, roots) -> Poly:
@@ -335,6 +333,71 @@ def _components(system: DerivationSystem) -> list[tuple[list[int], list[int]]]:
     return list(blocks.values())
 
 
+_Block = tuple[list[int], list[int], int, frozenset[Fraction]]
+
+
+def _eliminate_blocks(system: DerivationSystem) -> tuple[list[_Block], set[Fraction], set[Poly]]:
+    """Eliminate each component of the pencil over ZZ[d].
+
+    Returns the blocks, each as its rows, its columns, its rank over the
+    rational function field and the rational roots of its last pivot; the
+    rational roots of all pivots (the scan's candidates); and what remains of
+    each last pivot of degree >= 2 after its rational roots are divided out
+    (normalized).
+    """
+    blocks: list[_Block] = []
+    candidates: set[Fraction] = set()
+    nonrational: set[Poly] = set()
+    for rows, cols in _components(system):
+        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
+        drops: list[Fraction] = []
+        for which, pivot in enumerate(pivots):
+            p = poly_normalize(pivot)
+            if p.degree < 1:
+                continue
+            roots = poly_rational_roots(p)
+            candidates.update(roots)
+            if which == len(pivots) - 1:
+                drops = roots
+                residual = _strip_rational_roots(p, roots)
+                if residual.degree >= 2:
+                    nonrational.add(poly_normalize(residual))
+        blocks.append((rows, cols, rank, frozenset(drops)))
+    return blocks, candidates, nonrational
+
+
+def _dimension_at(system: DerivationSystem, blocks: list[_Block], delta: Fraction) -> int:
+    """The kernel dimension of the pencil at ``delta``, eliminating only the
+    blocks that can lose rank there.
+
+    A block whose last pivot, a maximal nonzero minor, is nonzero at
+    ``delta`` keeps its generic rank and adds cols - rank; each column no
+    equation touches adds 1.  The blocks whose last pivot vanishes are
+    specialized (rows mapped to block-local columns) and eliminated, and every
+    kernel vector found is embedded and re-checked against the defining
+    equation.
+    """
+    dim = system.cols - sum(rank for _, _, rank, _ in blocks)
+    dropping = [(rows, cols, rank) for rows, cols, rank, drops in blocks if delta in drops]
+    if not dropping:
+        return dim
+    specialized = system.specialize(delta)
+    for rows, cols, rank in dropping:
+        local = {c: t for t, c in enumerate(cols)}
+        vectors = nullspace_bareiss(
+            [{local[c]: x for c, x in specialized[r].items()} for r in rows], len(cols)
+        )
+        embedded = []
+        for v in vectors:
+            full = [Fraction(0)] * system.cols
+            for c, x in zip(cols, v):
+                full[c] = x
+            embedded.append(full)
+        _space_from_vectors(system.algebra, system.module, delta, embedded)
+        dim += len(vectors) - (len(cols) - rank)
+    return dim
+
+
 def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanReport:
     """Find every rational d whose twisted-derivation space is nontrivial.
 
@@ -348,18 +411,23 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     specialized elimination is valid there and that block's rank does not
     drop, so any rank-dropping d0 is a root of some block's pivot; the
     union of the pivots' rational roots is therefore a superset of all
-    rational exceptional values.  Each candidate is then verified by an
-    independent fixed-d kernel computation on the whole system, making the
-    report exact over the rationals.
+    rational exceptional values, and these are the candidates.
 
-    Irrational rank drops are bounded through the last pivot of each
-    block: it is a maximal nonzero minor of that block, a rank drop at d0
-    lowers the rank of some block, and then every maximal minor of that
-    block vanishes at d0.  Whatever survives of a last pivot after its
-    rational roots are divided out (necessarily of degree >= 2) is
-    reported unresolved in ``nonrational_factors``.  Earlier pivots are
-    smaller minors whose extra factors need not witness any rank drop, so
-    they contribute candidates but never unresolved factors.
+    A block's last pivot is one of its maximal nonzero minors (Bareiss), so
+    the block keeps its generic rank wherever that pivot is nonzero, and a
+    rank drop at d0 makes every maximal minor of the block vanish there.
+    The kernel at a candidate is therefore block-local (``_dimension_at``):
+    only the blocks whose last pivot has the candidate as a root are
+    specialized and eliminated, their kernel vectors are re-checked by code
+    independent of the elimination, and every other block adds its generic
+    nullity.  That makes the report exact over the rationals.
+
+    Irrational rank drops are bounded through the last pivots too: whatever
+    survives of a last pivot after its rational roots are divided out
+    (necessarily of degree >= 2) is reported unresolved in
+    ``nonrational_factors``.  Earlier pivots are smaller minors whose extra
+    factors need not witness any rank drop, so they contribute candidates
+    but never unresolved factors.
 
     d = 0 is excluded by default: the equation at 0 just says D kills the
     commutant, so the dimension is (dim L - dim [L,L]) * dim V, which is 0
@@ -367,22 +435,7 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     ``include_zero`` the value is verified and reported like any other.
     """
     system = assemble_system(L, V)
-    generic_rank = 0
-    candidates: set[Fraction] = set()
-    nonrational: set[Poly] = set()
-    for rows, cols in _components(system):
-        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
-        generic_rank += rank
-        for which, pivot in enumerate(pivots):
-            p = poly_normalize(pivot)
-            if p.degree < 1:
-                continue
-            roots = poly_rational_roots(p)
-            candidates.update(roots)
-            if which == len(pivots) - 1:
-                residual = _strip_rational_roots(p, roots)
-                if residual.degree >= 2:
-                    nonrational.add(poly_normalize(residual))
+    blocks, candidates, nonrational = _eliminate_blocks(system)
     # The elimination works on untracked integers, so it rarely triggers an
     # automatic collection, and the reference cycles left by earlier work
     # stay in memory until one runs: after an input-dense scan job, the full
@@ -397,15 +450,16 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     findings: dict[Fraction, int] = {}
     if include_zero:
         closed_form = (L.dim - L.commutant_dimension()) * V.dim_v
-        dim_at_zero = kernel_at(system, zero).dimension
+        dim_at_zero = _dimension_at(system, blocks, zero)
         if dim_at_zero != closed_form:
             raise VerificationFailure("closed form at d=0 disagrees with the kernel")
         if dim_at_zero >= 1:
             findings[zero] = dim_at_zero
     for delta in sorted(candidates):
-        dim = kernel_at(system, delta).dimension
+        dim = _dimension_at(system, blocks, delta)
         if dim >= 1:
             findings[delta] = dim
     findings = dict(sorted(findings.items()))
     factors = tuple(sorted(nonrational, key=lambda q: (q.degree, q.coeffs)))
+    generic_rank = sum(rank for _, _, rank, _ in blocks)
     return ScanReport(findings=findings, nonrational_factors=factors, generic_rank=generic_rank)

@@ -15,21 +15,22 @@ their kernels are.  A dense Gauss-Jordan elimination on Fractions is kept in
 one-parameter matrix family, recording every pivot polynomial.  Pivots are
 chosen by lowest degree first (ties by column, then row), which keeps the
 degrees of recorded pivots small.  Each entry p is held as the single
-integer p(2^k) (Kronecker substitution), k chosen from the product of the
-largest row norms so that the coefficients of every minor lie below
-2^(k-2) in absolute value.  The arithmetic is then that of ZZ[d] on one
-integer per entry, the degree of an entry is its bit length floor-divided
-by k, and only the recorded pivots are turned back into polynomials.  The
-scan calls it once per connected component of its sparse pencil: rank is
-additive over the blocks of a block-diagonal matrix, and each block's last
-pivot is a maximal minor of that block, which vanishes wherever the block's
-rank drops.
+integer p(2^k) (Kronecker substitution).  Every entry it writes is a minor,
+and by Hadamard's inequality on the unit circle the coefficients of a minor
+are at most the square root of the product of its rows' values
+sum_j ||e_j||_1^2; k is chosen so that this bound lies below 2^(k-2).  The
+arithmetic is then that of ZZ[d] on one integer per entry, the degree of an
+entry is its bit length floor-divided by k, and only the recorded pivots are
+turned back into polynomials.  The scan calls it once per connected
+component of its sparse pencil: rank is additive over the blocks of a
+block-diagonal matrix, and each block's last pivot is a maximal minor of
+that block, which vanishes wherever the block's rank drops.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .exact_arith import Coeffs, Poly
 
@@ -156,38 +157,39 @@ def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], 
     substitution.  Evaluation at 2^k is a ring homomorphism, so a Bareiss step
     ``(piv*x - mult*y) / prev`` is two integer products, a subtraction and an
     exact integer division; a remainder raises ArithmeticError.  Every entry
-    the elimination produces is a minor of the input, and the coefficient l1
-    norm of a minor is at most the product of the l1 norms of its rows, so at
-    most the product of the ncols largest row norms.  With k two more than
-    the bit length of that bound, every coefficient is below 2^(k-2) in
-    absolute value.  Then p(2^k) is c*2^(k*n) (n = deg p, c the leading
-    coefficient) plus less than 2^(k*n - 1) in absolute value: it is 0 only
-    for p = 0, its bit length lies in [k*n, k*n + k - 1], so the bit length
-    floor-divided by k is exactly the degree the pivot rule compares, and its
-    balanced base-2^k digits are the coefficients of p.  Only the recorded
-    pivots are unpacked.
+    the elimination produces is a minor of the input.  On the unit circle a
+    minor is at most the product of its rows' l2 norms (Hadamard's
+    inequality), and the squared l2 norm of row i there is at most
+    sum_j ||e_ij||_1^2, its row value; every coefficient of a polynomial is at
+    most its maximum on the unit circle.  Row values of nonzero rows are at
+    least 1, so every coefficient of every minor is at most sqrt(P), P the
+    product of the ncols largest row values.  With k two more than the bit
+    length of isqrt(P) + 1, every coefficient is below 2^(k-2) in absolute
+    value.  Then p(2^k) is c*2^(k*n) (n = deg p, c the leading coefficient)
+    plus less than 2^(k*n - 1) in absolute value: it is 0 only for p = 0, its
+    bit length lies in [k*n, k*n + k - 1], so the bit length floor-divided by
+    k is exactly the degree the pivot rule compares, and its balanced base-2^k
+    digits are the coefficients of p.  Only the recorded pivots are unpacked.
+
+    The Bareiss update writes every nonzero entry of the rows below the
+    pivot, and records each row's lowest (degree, column) as it goes, so the
+    pivot search is one pass over the rows.
     """
-    rows = [r for r in rows if any(r)]
-    norms = sorted((sum(abs(c) for e in r for c in e) for r in rows), reverse=True)
-    k = prod(norms[:ncols]).bit_length() + 2
-    m = [[_pack(e, k) for e in r] for r in rows]
+    values = [sum([sum(map(abs, e)) ** 2 for e in r if e]) for r in rows]
+    rows = [r for r, v in zip(rows, values) if v]
+    values = sorted(filter(None, values), reverse=True)
+    k = (isqrt(prod(values[:ncols])) + 1).bit_length() + 2
+    m = [[_pack(e, k) if e else 0 for e in r] for r in rows]
+    # keys[i]: (degree, column) of the first lowest-degree entry of row m[i]
+    keys = [min([(e.bit_length() // k, c) for c, e in enumerate(row) if e]) for row in m]
     pivot_polys: list[Poly] = []
     t = 0
     prev = 1
     while t < len(m) and t < ncols:
-        best = None
-        for r in range(t, len(m)):
-            row = m[r]
-            for c in range(t, ncols):
-                e = row[c]
-                if e:
-                    key = (abs(e).bit_length() // k, c, r)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, c, r = best
+        r = min(range(t, len(m)), key=keys.__getitem__)
+        c = keys[r][1]
         m[t], m[r] = m[r], m[t]
+        keys[r] = keys[t]
         if c != t:
             # finished rows above t are never read again
             for row in m[t:]:
@@ -196,9 +198,11 @@ def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], 
         piv = top[t]
         pivot_polys.append(_unpack(piv, k))
         exact = prev != 1
+        live = t + 1
         for i in range(t + 1, len(m)):
             row = m[i]
             mult = row[t]
+            low, col = None, 0  # low: k times the lowest degree so far
             for j in range(t + 1, ncols):
                 x, y = row[j], top[j]
                 if mult and y:
@@ -212,8 +216,15 @@ def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], 
                     if rem:
                         raise ArithmeticError("inexact polynomial division")
                 row[j] = num
+                if num:
+                    b = num.bit_length()
+                    if low is None or b < low:
+                        low, col = b - b % k, j
             row[t] = 0
-        m = m[: t + 1] + [r for r in m[t + 1 :] if any(r)]
+            if low is not None:  # rows that became zero are dropped
+                m[live], keys[live] = row, (low // k, col)
+                live += 1
+        del m[live:], keys[live:]
         prev = piv
         t += 1
     return pivot_polys, t

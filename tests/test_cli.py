@@ -487,6 +487,22 @@ class TestDescribeAndRoundTrip:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_action_count_is_checked_before_the_algebra_is_built(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # building would run the Jacobi check on C(3000, 3) triples
+        def build(*args, **kwargs):
+            raise AssertionError("the algebra was built")
+
+        monkeypatch.setattr(deltader.lie_core, "algebra_from_structure_constants", build)
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({"algebra": {"dim": 3000, "brackets": []},
+                                    "module": {"dim": 1, "action": []}}))
+        code, out, err = run_cli(capsys, "scan", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "3000" in err
+
 
 class TestVerifyCommand:
     def test_exit_zero_when_clean(self, capsys):
@@ -547,6 +563,9 @@ class TestGoldenOutputs:
             # the largest built-in scan, its "1 + 1*d + 1*d^2" residue included
             (("scan", "--algebra", "sl4", "--module", "adjoint"),
              "50b9dd4ed6178835c2f4e9093c8cbd990d9c03ae1bf3419ebeb6e29f59d1d284"),
+            # 131 blocks, candidate kernels block by block, and the "-1 + 2*d^2" residue
+            (("scan", "--algebra", "sl5", "--module", "adjoint"),
+             "6e949c1c99e0ee2ed75880e4f2f9067cf4767151b95879ef0f5a9cfee9f634c0"),
         ],
     )
     def test_root_isolation_stdout(self, capsys, tmp_path, probe_json, argv, digest):

@@ -501,3 +501,96 @@ class TestDegenerateInputs:
         report = scan(line, rep)
         assert report.generic_rank == 0
         assert report.findings == {}
+
+
+def _matrix_algebra(n, positions):
+    """The span of the n x n matrix units E_ij at ``positions`` (closed under the
+    commutator), with its natural module: [E_ij, E_kl] = [j = k] E_il - [l = i] E_kj."""
+    index = {p: a for a, p in enumerate(positions)}
+    entries = []
+    for a, (i, j) in enumerate(positions):
+        for b in range(a + 1, len(positions)):
+            k, l = positions[b]
+            if j == k:
+                entries.append((a, b, index[(i, l)], 1))
+            if l == i:
+                entries.append((a, b, index[(k, j)], -1))
+    alg = algebra_from_structure_constants(len(positions), entries)
+    action = [[{j: 1} if r == i else {} for r in range(n)] for i, j in positions]
+    return alg, representation_from_action(alg, action, n)
+
+
+def _blocked_scan_input(name):
+    """(L, V) named "sl2 <module>", "[x,y]=y a=<a> n=<n>" (rho(x) = diag(a, a - 1, ...),
+    rho(y) the shift e_(r+1) -> e_r, optionally "scrambled"), "heisenberg", "upper" (3 x 3
+    upper triangular) or "so5", the last three with "natural" or "adjoint"."""
+    if name.startswith("sl2 "):
+        L, parts = parse_algebra_descriptor("sl2")
+        return L, parse_module_descriptor(name[4:], L, parts)[0]
+    if name.startswith("[x,y]=y"):
+        fields = dict(f.split("=") for f in name.split()[1:3])
+        a, n = F(fields["a"]), int(fields["n"])
+        L = algebra_from_structure_constants(2, [(0, 1, 1, 1)])
+        action = [[{r: a - r} if a != r else {} for r in range(n)],
+                  [{r + 1: 1} if r + 1 < n else {} for r in range(n)]]
+        V = representation_from_action(L, action, n)
+        return _scrambled(L, V) if name.endswith("scrambled") else (L, V)
+    if name.startswith("heisenberg"):
+        L, natural = _matrix_algebra(3, [(0, 1), (0, 2), (1, 2)])
+    elif name.startswith("upper"):
+        L, natural = _matrix_algebra(3, [(i, j) for i in range(3) for j in range(i, 3)])
+    else:
+        L, natural = _classical("so", 5)
+    return L, adjoint_module(L) if name.endswith("adjoint") else natural
+
+
+class TestBlockedScan:
+    """Candidate kernels taken block by block against the whole-system kernels."""
+
+    @pytest.mark.parametrize("name", [
+        # sl2 V(6) and the scrambled 3-dimensional module have candidates that are roots
+        # of earlier pivots only, the latter with a nonzero generic kernel
+        "sl2 V(0) o+ V(2)", "sl2 trivial(2)", "sl2 V(6)", "[x,y]=y a=0 n=2", "[x,y]=y a=1 n=2",
+        "[x,y]=y a=2 n=2", "[x,y]=y a=-1 n=2", "[x,y]=y a=1/2 n=2", "[x,y]=y a=1/2 n=3 scrambled",
+        "heisenberg natural", "heisenberg adjoint", "upper natural", "upper adjoint", "so5 natural",
+    ])
+    def test_dimensions_match_whole_system_kernels(self, name):
+        L, V = _blocked_scan_input(name)
+        system = assemble_system(L, V)
+        blocks, candidates, _ = delta_solver._eliminate_blocks(system)
+        rng = random.Random(name)
+        tried = candidates | {F(0)} | {F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)}
+        for d in sorted(tried):
+            rows = [[row.get(c, 0) for c in range(system.cols)] for row in system.specialize(d)]
+            expected = len(nullspace_gauss(rows, system.cols))
+            assert delta_solver._dimension_at(system, blocks, d) == expected
+            assert kernel_at(system, d).dimension == expected
+        if name in ("sl2 V(6)", "[x,y]=y a=1/2 n=3 scrambled"):
+            assert candidates - set().union(*(drops for _, _, _, drops in blocks))
+        report = scan(L, V, include_zero=True)
+        assert report.generic_rank == sum(rank for _, _, rank, _ in blocks)
+        assert all(report.findings[d] == kernel_at(system, d).dimension for d in report.findings)
+
+    def test_candidates_eliminate_fewer_columns_than_the_system(self, monkeypatch):
+        L, parts = parse_algebra_descriptor("sl4")
+        V, _ = parse_module_descriptor("adjoint", L, parts)
+        system = assemble_system(L, V)
+        widths, per_candidate = [], []
+        real_nullspace, real_dimension = delta_solver.nullspace_bareiss, delta_solver._dimension_at
+
+        def nullspace(rows, ncols):
+            widths.append(ncols)
+            return real_nullspace(rows, ncols)
+
+        def dimension_at(system, blocks, delta):
+            widths.clear()
+            dim = real_dimension(system, blocks, delta)
+            per_candidate.append(sum(widths))
+            return dim
+
+        monkeypatch.setattr(delta_solver, "nullspace_bareiss", nullspace)
+        monkeypatch.setattr(delta_solver, "_dimension_at", dimension_at)
+        report = scan(L, V, include_zero=True)
+        assert report.findings == {F(1, 2): 1, F(1): 15}
+        assert len(per_candidate) == 6  # -2, -1, -1/2, 1/2 and 1, and 0
+        assert 0 < max(per_candidate) < system.cols

@@ -220,9 +220,10 @@ class TestIntPolynomials:
 
 @st.composite
 def polynomial_matrices(draw):
-    """Up to 8 x 6 matrices over ZZ[d], entries of degree 0-3 with coefficients
-    small (many ties and cancellations) or up to +-2^64, with zero rows and
-    rows that are ZZ[d]-combinations of others mixed in."""
+    """Up to 12 x 6 matrices over ZZ[d], entries of degree 0-3 with coefficients
+    small (many ties and cancellations) or up to +-2^64, with zero rows, rows
+    that are ZZ[d]-combinations of others, and up to four scaled copies of rows,
+    which tie with their originals in the pivot rule, mixed in."""
     ncols = draw(st.integers(1, 6))
     small = st.integers(-3, 3)
     coeff = draw(st.sampled_from([
@@ -239,6 +240,9 @@ def polynomial_matrices(draw):
             a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
             u, v = (draw(st.lists(small, max_size=2).map(_ptrim)) for _ in range(2))
             rows[r] = [_psub(_pmul(u, x), _pmul(v, y)) for x, y in zip(rows[a], rows[b])]
+    for r in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
+        scale = (draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),)
+        rows.insert(draw(st.integers(0, len(rows))), [_pmul(scale, x) for x in rows[r]])
     return rows, ncols
 
 
@@ -264,6 +268,24 @@ class TestPencilAgainstTuples:
             pivots, rank = pencil_eliminate(rows, 2)
             assert rank == 2 and pivots == [Poly([n]), Poly([0, 0, n * lead])]
             assert pivots == tuple_pencil_eliminate(rows, 2)[0]
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**63, 2**64 - 1, 2**64, 2**64 + 1])
+    def test_minors_at_hadamards_bound(self, n):
+        # the determinants of these reach Hadamard's bound, the product of the rows'
+        # l2 norms, so their coefficients reach sqrt(P), the bound k is sized by
+        rows = [[(n,), (n,)], [(n,), (-n,)]]
+        pivots, rank = pencil_eliminate(rows, 2)
+        assert rank == 2 and pivots == [Poly([n]), Poly([-2 * n * n])]
+        assert (pivots, rank) == tuple_pencil_eliminate(rows, 2)
+        sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        for sign in (1, -1):
+            # entry (i, j) is +-n*d^j
+            rows = [[(0,) * j + (sign * h * n,) for j, h in enumerate(row)] for row in sylvester]
+            pivots, rank = pencil_eliminate(rows, 4)
+            assert rank == 4 and pivots[-1].degree == 6
+            assert abs(pivots[-1].coeffs[-1]) == 16 * n**4
+            assert (pivots, rank) == tuple_pencil_eliminate(rows, 4)
 
 
 class TestPencilEliminate:
