@@ -24,8 +24,10 @@ module, the nonzero spaces and their explicit bases are:
 For a semisimple algebra (a direct sum of simple summands) with a module
 split into irreducibles, each carried by exactly one summand, the total
 dimension at each d assembles summand by summand; ``theorem_dimension``
-encodes that bookkeeping.  ``verify_all`` replays the whole table against
-the solver and reports pass/fail per case.
+encodes that bookkeeping.  It reads the command line's descriptors
+through the grammar in ``lie_core``, parsed but never built.
+``verify_all`` replays the whole table against the solver and reports
+pass/fail per case.
 
 Weight conventions: the solver's grading tags are raw eigenvalue
 differences; for the module above the bookkeeping weight used here is
@@ -35,6 +37,7 @@ differences; for the module above the bookkeeping weight used here is
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from . import delta_solver, lie_core
@@ -44,7 +47,6 @@ from .linalg import nullspace_bareiss
 CASE_DELTA_ONE = "delta_one"
 CASE_MINUS_TWO_OVER_N = "minus_two_over_n"
 CASE_TWO_OVER_N_PLUS_TWO = "two_over_n_plus_two"
-CASE_ONE_HALF = "one_half"
 
 
 class ExpectedFamily(NamedTuple):
@@ -66,11 +68,6 @@ def _emap(n: int, e_minus=(), h=(), e_plus=()) -> DerivationMap:
                 row[idx] = Fraction(c)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def expected_sl2_basis(n: int, case_tag: str) -> list[DerivationMap]:
-    """The explicit basis maps for one (n, case) cell of the table."""
-    return list(expected_family(n, case_tag).basis)
 
 
 def expected_family(n: int, case_tag: str) -> ExpectedFamily:
@@ -101,9 +98,7 @@ def expected_family(n: int, case_tag: str) -> ExpectedFamily:
         basis.append(_emap(n, e_minus=[(0, 1)]))
         weights.append(1)
         return ExpectedFamily(case_tag, n, Fraction(-2, n), n + 3, tuple(basis), tuple(weights))
-    if case_tag in (CASE_TWO_OVER_N_PLUS_TWO, CASE_ONE_HALF):
-        if case_tag == CASE_ONE_HALF and n != 2:
-            raise ValueError("the identity-map case requires n = 2")
+    if case_tag == CASE_TWO_OVER_N_PLUS_TWO:
         if n < 2:
             raise ValueError("this case requires n >= 2")
         basis = []
@@ -170,71 +165,47 @@ def span_equal(b1, b2) -> bool:
     return kernel(b1) == kernel(b2)
 
 
-_MODULE_DIMS = {"natural": lambda m: m, "adjoint": lambda m: m * m - 1}
-
-
-def _parse_part(g_desc: str, v_desc: str) -> tuple[bool, int, int | None, bool]:
-    """Classify one (summand, module) pair.
-
-    Returns (is_trivial, module dimension, n if the summand is the rank-1
-    algebra carrying its (n+1)-dimensional irreducible, is_adjoint).
-    """
-    if v_desc.startswith("trivial"):
-        d = 1
-        if v_desc != "trivial":
-            if not (v_desc.startswith("trivial(") and v_desc.endswith(")")):
-                raise ValueError(f"bad module descriptor {v_desc!r}")
-            d = int(v_desc[len("trivial(") : -1])
-        return True, d, None, False
-    if g_desc == "sl2":
-        if v_desc == "adjoint":
-            v_desc = "V(2)"
-        elif v_desc == "natural":
-            v_desc = "V(1)"
-        if not (v_desc.startswith("V(") and v_desc.endswith(")")):
-            raise ValueError(f"module {v_desc!r} is not implemented over sl2")
-        n = int(v_desc[2:-1])
-        if n < 0:
-            raise ValueError("highest weight must be nonnegative")
-        return n == 0, n + 1, (n if n >= 1 else None), n == 2
-    if g_desc.startswith("sl"):
-        m = int(g_desc[2:])
-        if m < 3:
-            raise ValueError("matrix algebra descriptors start at sl3; use 'sl2' instead")
-        if v_desc not in _MODULE_DIMS:
-            raise ValueError(f"module {v_desc!r} is not implemented over {g_desc}")
-        return False, _MODULE_DIMS[v_desc](m), None, v_desc == "adjoint"
-    raise ValueError(f"unknown algebra descriptor {g_desc!r}")
-
-
-def theorem_dimension(g_parts: list[str], v_parts: list[tuple[int, str]], delta) -> int:
+def theorem_dimension(algebra: str, module: str, delta) -> int:
     """Predicted dimension for a semisimple algebra and a split module.
 
-    ``g_parts`` lists the simple summands ("sl2", "sl3", ...); each entry
-    of ``v_parts`` is (summand index, module descriptor), the module being
-    irreducible over that summand and trivial over the others.  Implemented
-    descriptors: V(n) over sl2; natural / adjoint / trivial over slM.
+    ``algebra`` and ``module`` are descriptors as ``--algebra`` and
+    ``--module`` take them.  They are parsed by the command line's grammar
+    (``lie_core.parse_algebra_atoms`` and ``parse_module_terms``), never
+    built, so a bad descriptor raises what the command line reports.  Each
+    tensor term is an irreducible module of one summand, trivial on the
+    others, times the product of its trivial(d) factors; 'adjoint' of a
+    direct sum is the adjoint module of each summand.  A term nontrivial on
+    two summands is beyond this bookkeeping and raises ValueError.
     """
     delta = Fraction(delta)
-    parts = []
-    for idx, v_desc in v_parts:
-        if not 0 <= idx < len(g_parts):
-            raise ValueError(f"summand index {idx} out of range")
-        parts.append(_parse_part(g_parts[idx], v_desc))
-    if delta == 1:
-        return sum(dim for trivial, dim, _, _ in parts if not trivial)
+    summands = lie_core.parse_algebra_atoms(algebra)
+    parts = []  # (summand, atom, copies) for each nontrivial irreducible part
+    for term in lie_core.parse_module_terms(module, summands):
+        if len(term) < len(summands):  # 'adjoint' or 'trivial(d)' of the whole algebra
+            if term[0].kind == "ADJOINT":
+                parts += [(s, term[0], 1) for s in summands]
+            continue
+        nontrivial = [(s, a) for s, a in zip(summands, term) if a.kind != "TRIVIAL" and a.arg != 0]
+        if len(nontrivial) > 1:
+            text = " (x) ".join(a.text for a in term)
+            raise ValueError(f"{text!r} is nontrivial on {len(nontrivial)} summands")
+        copies = prod(a.arg for a in term if a.kind == "TRIVIAL")
+        parts += [(s, a, copies) for s, a in nontrivial]
     total = 0
-    if delta == Fraction(1, 2):
-        total += sum(1 for _, _, _, adj in parts if adj)
-    minus = Fraction(-2) / delta if delta != 0 else None
-    if minus is not None and minus.denominator == 1 and minus >= 1:
-        n = int(minus)
-        total += (n + 3) * sum(1 for _, _, sl2_n, _ in parts if sl2_n == n)
-    if delta != 0:
-        plus = Fraction(2) / delta - 2
-        if plus.denominator == 1 and plus >= 3:
-            n = int(plus)
-            total += (n - 1) * sum(1 for _, _, sl2_n, _ in parts if sl2_n == n)
+    for s, atom, copies in parts:
+        # the highest weight over sl2, where the adjoint module is V(2)
+        n = (atom.arg if atom.kind == "V" else 2) if s.n == 2 else None
+        if delta == 1:
+            count = n + 1 if n else s.n if atom.kind == "NATURAL" else s.n * s.n - 1
+        elif delta == Fraction(1, 2):
+            count = int(atom.kind == "ADJOINT" or n == 2)
+        elif n and delta == Fraction(-2, n):
+            count = n + 3
+        elif n and n >= 3 and delta == Fraction(2, n + 2):
+            count = n - 1
+        else:
+            count = 0
+        total += copies * count
     return total
 
 
@@ -337,7 +308,7 @@ def verify_all(max_n: int) -> VerifyReport:
     half = delta_solver.solve(alg, adj, Fraction(1, 2))
     ok = ok and span_equal(half.basis, [identity_derivation(3)])
     minus_one = delta_solver.solve(alg, adj, Fraction(-1))
-    expected_adj = [v2_map_to_adjoint(D) for D in expected_sl2_basis(2, CASE_MINUS_TWO_OVER_N)]
+    expected_adj = [v2_map_to_adjoint(D) for D in expected_family(2, CASE_MINUS_TWO_OVER_N).basis]
     ok = ok and span_equal(minus_one.basis, expected_adj)
     checks.append(
         _check("sl2 adjoint scan and spans", ok, f"found {_fmt_findings(report.findings)}")
@@ -377,17 +348,14 @@ def verify_all(max_n: int) -> VerifyReport:
     checks.append(_check("sl3 natural d=1 inner derivations", ok, f"dim {ones.dimension}"))
 
     # semisimple assembly: two rank-1 summands, mixed tensor module
-    g = lie_core.direct_sum_algebras([lie_core.sl2(), lie_core.sl2()])
-    part1 = lie_core.tensor_module(lie_core.sl2_module(1), lie_core.sl2_module(0))
-    part2 = lie_core.tensor_module(lie_core.sl2_module(0), lie_core.sl2_module(2))
-    module = lie_core.direct_sum_modules([part1, part2])
-    g_parts = ["sl2", "sl2"]
-    v_parts = [(0, "V(1)"), (1, "V(2)")]
+    g_text, v_text = "sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)"
+    g, parts = lie_core.parse_algebra_descriptor(g_text)
+    module, _ = lie_core.parse_module_descriptor(v_text, g, parts)
     ok = True
     details = []
     for d in (Fraction(1), Fraction(-2), Fraction(-1), Fraction(1, 2)):
         got = delta_solver.solve(g, module, d).dimension
-        want = theorem_dimension(g_parts, v_parts, d)
+        want = theorem_dimension(g_text, v_text, d)
         details.append(f"{d}: {got}/{want}")
         ok = ok and got == want
     checks.append(

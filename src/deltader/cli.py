@@ -1,16 +1,9 @@
 """Command line front end.
 
-Algebras and modules are named by small descriptor expressions:
-
-    algebra:  sl2 | slN            combined with  o+
-    module:   V(n) | adjoint | natural | trivial(d)
-              combined with  o+  (sum over one algebra)
-              and            (x) (tensor across the summands of a direct sum)
-
-The unicode spellings of the two operators are accepted on input and
-normalized to the ASCII ones on output.  Rational arguments are written
-p/q (or just p); decimal notation is rejected.  Output is byte
-deterministic for identical input.
+Algebras and modules are named by descriptors, parsed by the grammar in
+``lie_core`` that ``catalog.theorem_dimension`` reads too.  Rational
+arguments are written p/q (or just p); decimal notation is rejected.
+Output is byte deterministic for identical input.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
 check failure (a bug).
@@ -33,178 +26,12 @@ from .lie_core import (
     JacobiViolation,
     LieAlgebra,
     NotDiagonal,
+    ParseError,
     Representation,
+    SemanticError,
+    parse_algebra_descriptor,
+    parse_module_descriptor,
 )
-
-
-class ParseError(Exception):
-    def __init__(self, message: str, position: int):
-        self.position = position
-        super().__init__(f"{message} (at position {position})")
-
-
-class SemanticError(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# descriptor grammar
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""(?:
-        (?P<SL>sl\d+)
-      | (?P<V>V\(\d+\))
-      | (?P<TRIVIAL>trivial\(\d+\))
-      | (?P<ADJOINT>adjoint)
-      | (?P<NATURAL>natural)
-      | (?P<OPLUS>oplus|o\+|⊕)
-      | (?P<OTIMES>otimes|\(x\)|⊗)
-    )""",
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected input {text[pos : pos + 10]!r}", pos)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
-        pos = m.end()
-    return tokens
-
-
-class _Atom(str):
-    """The name of an algebra summand, keeping the algebra built for it
-    (and, for slN, the natural module built with it)."""
-
-    algebra: LieAlgebra
-    natural: Representation | None = None
-
-
-def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[str]]:
-    """Parse an algebra expression; returns the algebra and its atom list."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty algebra descriptor", 0)
-    parts: list[_Atom] = []
-    expect_atom = True
-    for kind, value, pos in tokens:
-        if expect_atom:
-            if kind != "SL":
-                if kind in ("V", "ADJOINT", "NATURAL", "TRIVIAL"):
-                    raise SemanticError(f"{value!r} names a module, not an algebra")
-                raise ParseError(f"expected an algebra name, got {value!r}", pos)
-            n = int(value[2:])
-            if n < 2:
-                raise SemanticError(f"{value!r}: matrix rank must be at least 2")
-            atom = _Atom(value)
-            if n == 2:
-                atom.algebra = lie_core.sl2()
-            else:
-                atom.algebra, atom.natural = lie_core.sl_n(n)
-            parts.append(atom)
-            expect_atom = False
-        else:
-            if kind == "OTIMES":
-                raise SemanticError("the tensor operator combines modules, not algebras")
-            if kind != "OPLUS":
-                raise ParseError(f"expected 'o+', got {value!r}", pos)
-            expect_atom = True
-    if expect_atom:
-        raise ParseError("dangling operator in algebra descriptor", len(text))
-    if len(parts) == 1:
-        return parts[0].algebra, parts
-    return lie_core.direct_sum_algebras([p.algebra for p in parts]), parts
-
-
-def _module_atom(kind: str, value: str, part: str, algebra: LieAlgebra) -> Representation:
-    if kind == "V":
-        if part != "sl2":
-            raise SemanticError(f"V(n) is a module of sl2, not of {part!r}")
-        return lie_core.sl2_module(int(value[2:-1]))
-    if kind == "ADJOINT":
-        return lie_core.adjoint_module(algebra)
-    if kind == "TRIVIAL":
-        return lie_core.trivial_module(algebra, int(value[len("trivial(") : -1]))
-    if kind == "NATURAL":
-        if not re.fullmatch(r"sl\d+", part) or part == "sl2":
-            raise SemanticError(
-                f"'natural' needs a matrix algebra slN with N >= 3, not {part!r}; "
-                "over sl2 use V(1)"
-            )
-        return part.natural
-    raise SemanticError(f"{value!r} cannot appear in a module descriptor")
-
-
-def parse_module_descriptor(
-    text: str, algebra: LieAlgebra, parts: list[str]
-) -> tuple[Representation, str]:
-    """Parse a module expression over a parsed algebra.
-
-    A tensor term must have exactly one factor per algebra summand;
-    summands of an o+ combination must all be modules of the full algebra.
-    Returns the module and the canonical (ASCII) form of the descriptor.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty module descriptor", 0)
-    terms: list[Representation] = []
-    term_texts: list[str] = []
-    i = 0
-    while True:
-        factors: list[tuple[str, str, int]] = []
-        while True:
-            if i >= len(tokens):
-                raise ParseError("dangling operator in module descriptor", len(text))
-            kind, value, pos = tokens[i]
-            if kind in ("OPLUS", "OTIMES"):
-                raise ParseError(f"expected a module name, got {value!r}", pos)
-            if kind == "SL":
-                raise SemanticError(f"{value!r} names an algebra, not a module")
-            factors.append((kind, value, pos))
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "OTIMES":
-                i += 1
-                continue
-            break
-        if len(factors) == 1:
-            kind, value, pos = factors[0]
-            if kind == "V" and len(parts) != 1:
-                raise SemanticError("V(n) needs the algebra to be a single sl2 summand")
-            if kind == "NATURAL" and len(parts) != 1:
-                raise SemanticError("'natural' needs a single matrix-algebra summand")
-            part = parts[0] if len(parts) == 1 else None
-            terms.append(_module_atom(kind, value, part, algebra))
-            term_texts.append(value)
-        else:
-            if len(factors) != len(parts):
-                raise SemanticError(
-                    f"tensor term has {len(factors)} factors but the algebra has "
-                    f"{len(parts)} summands"
-                )
-            built = None
-            for (kind, value, pos), part in zip(factors, parts):
-                factor = _module_atom(kind, value, part, part.algebra)
-                built = factor if built is None else lie_core.tensor_module(built, factor)
-            if built.algebra != algebra:
-                raise SemanticError("tensor term does not assemble over the given algebra")
-            terms.append(built)
-            term_texts.append(" (x) ".join(v for _, v, _ in factors))
-        if i >= len(tokens):
-            break
-        kind, value, pos = tokens[i]
-        if kind != "OPLUS":
-            raise ParseError(f"expected 'o+', got {value!r}", pos)
-        i += 1
-    module = terms[0] if len(terms) == 1 else lie_core.direct_sum_modules(terms)
-    return module, " o+ ".join(term_texts)
 
 
 # ---------------------------------------------------------------------------

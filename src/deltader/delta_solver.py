@@ -61,8 +61,9 @@ class DerivationSystem(NamedTuple):
     a_part: tuple[dict[int, int], ...]  # the constant coefficients
     b_part: tuple[dict[int, int], ...]  # the coefficients of d
 
-    def specialize(self, delta) -> list[dict[int, int]]:
-        """Rows of A + d*B at d = p/q as ``{column: entry}`` maps of nonzeros.
+    def specialize(self, delta, rows) -> list[dict[int, int]]:
+        """The rows ``rows`` of A + d*B at d = p/q, in that order, as
+        ``{column: entry}`` maps of nonzeros.
 
         Each row comes out multiplied by q (and by its scale), so entries
         stay integers: one multiply-add per stored coefficient.
@@ -70,9 +71,9 @@ class DerivationSystem(NamedTuple):
         d = Fraction(delta)
         p, q = d.numerator, d.denominator
         out = []
-        for arow, brow in zip(self.a_part, self.b_part):
-            row = {c: q * a for c, a in arow.items()}
-            for c, b in brow.items():
+        for r in rows:
+            row = {c: q * a for c, a in self.a_part[r].items()}
+            for c, b in self.b_part[r].items():
                 x = row.get(c, 0) + p * b
                 if x:
                     row[c] = x
@@ -219,7 +220,7 @@ def _space_from_vectors(L: LieAlgebra, V: Representation, delta, vectors) -> Der
 def kernel_at(system: DerivationSystem, delta) -> DerivationSpace:
     """Exact kernel of the pencil specialized at one rational value."""
     delta = Fraction(delta)
-    vectors = nullspace_bareiss(system.specialize(delta), system.cols)
+    vectors = nullspace_bareiss(system.specialize(delta, range(system.rows)), system.cols)
     return _space_from_vectors(system.algebra, system.module, delta, vectors)
 
 
@@ -373,19 +374,18 @@ def _dimension_at(system: DerivationSystem, blocks: list[_Block], delta: Fractio
     A block whose last pivot, a maximal nonzero minor, is nonzero at
     ``delta`` keeps its generic rank and adds cols - rank; each column no
     equation touches adds 1.  The blocks whose last pivot vanishes are
-    specialized (rows mapped to block-local columns) and eliminated, and every
-    kernel vector found is embedded and re-checked against the defining
-    equation.
+    specialized (their rows only, mapped to block-local columns) and
+    eliminated, and every kernel vector found is embedded and re-checked
+    against the defining equation.
     """
     dim = system.cols - sum(rank for _, _, rank, _ in blocks)
-    dropping = [(rows, cols, rank) for rows, cols, rank, drops in blocks if delta in drops]
-    if not dropping:
-        return dim
-    specialized = system.specialize(delta)
-    for rows, cols, rank in dropping:
+    for rows, cols, rank, drops in blocks:
+        if delta not in drops:
+            continue
         local = {c: t for t, c in enumerate(cols)}
         vectors = nullspace_bareiss(
-            [{local[c]: x for c, x in specialized[r].items()} for r in rows], len(cols)
+            [{local[c]: x for c, x in row.items()} for row in system.specialize(delta, rows)],
+            len(cols),
         )
         embedded = []
         for v in vectors:

@@ -22,11 +22,20 @@ Every constructor validates its result exhaustively (the Jacobi identity
 over all basis triples, the homomorphism identity over all basis pairs).
 Only ``algebra_from_structure_constants`` can skip its check
 (``validate=False``), which the tests use to build broken algebras.
+
+The command line's descriptor grammar lives here too (README, "Command
+line"): ``parse_algebra_atoms`` and ``parse_module_terms`` check a
+descriptor and return its atoms without building anything, which is all
+``catalog.theorem_dimension`` reads; ``parse_algebra_descriptor`` and
+``parse_module_descriptor`` also build the algebra and the module.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import SparseRow, nullspace_bareiss
 
@@ -437,3 +446,185 @@ def weight_decomposition(
                 raise NotDiagonal(f"{what} has off-diagonal entry at {(r, min(off))}")
             groups.setdefault(row.get(r, Fraction(0)), ([], []))[side].append(r)
     return [(w, tuple(groups[w][0]), tuple(groups[w][1])) for w in sorted(groups)]
+
+
+# ---------------------------------------------------------------------------
+# descriptor grammar
+# ---------------------------------------------------------------------------
+
+
+class ParseError(Exception):
+    def __init__(self, message: str, position: int):
+        self.position = position
+        super().__init__(f"{message} (at position {position})")
+
+
+class SemanticError(Exception):
+    pass
+
+
+_TOKEN_RE = re.compile(
+    r"""(?:
+        (?P<SL>sl\d+)
+      | (?P<V>V\(\d+\))
+      | (?P<TRIVIAL>trivial\(\d+\))
+      | (?P<ADJOINT>adjoint)
+      | (?P<NATURAL>natural)
+      | (?P<OPLUS>oplus|o\+|⊕)
+      | (?P<OTIMES>otimes|\(x\)|⊗)
+    )""",
+    re.VERBOSE,
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected input {text[pos : pos + 10]!r}", pos)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
+        pos = m.end()
+    return tokens
+
+
+class AlgebraAtom(str):
+    """A summand as written, e.g. 'sl3', with its matrix size ``n``; once built,
+    with its algebra (and, for n >= 3, the natural module built with it)."""
+
+    n: int
+    algebra: LieAlgebra
+    natural: Representation | None = None
+
+
+class ModuleAtom(NamedTuple):
+    kind: str  # V, ADJOINT, NATURAL or TRIVIAL
+    text: str  # as written
+    arg: int | None  # the n of V(n) or the d of trivial(d)
+
+
+def parse_algebra_atoms(text: str) -> list[AlgebraAtom]:
+    """The summands of an algebra expression, checked but not built."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty algebra descriptor", 0)
+    atoms: list[AlgebraAtom] = []
+    expect_atom = True
+    for kind, value, pos in tokens:
+        if expect_atom:
+            if kind != "SL":
+                if kind in ("V", "ADJOINT", "NATURAL", "TRIVIAL"):
+                    raise SemanticError(f"{value!r} names a module, not an algebra")
+                raise ParseError(f"expected an algebra name, got {value!r}", pos)
+            atom = AlgebraAtom(value)
+            atom.n = int(value[2:])
+            if atom.n < 2:
+                raise SemanticError(f"{value!r}: matrix rank must be at least 2")
+            atoms.append(atom)
+            expect_atom = False
+        else:
+            if kind == "OTIMES":
+                raise SemanticError("the tensor operator combines modules, not algebras")
+            if kind != "OPLUS":
+                raise ParseError(f"expected 'o+', got {value!r}", pos)
+            expect_atom = True
+    if expect_atom:
+        raise ParseError("dangling operator in algebra descriptor", len(text))
+    return atoms
+
+
+def parse_module_terms(text: str, parts: list[AlgebraAtom]) -> list[tuple[ModuleAtom, ...]]:
+    """The o+ terms of a module expression, checked but not built: a tensor
+    term has one factor per summand, and a term of one atom over several
+    summands ('adjoint' or 'trivial(d)') is a module of the whole algebra."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty module descriptor", 0)
+    terms: list[tuple[ModuleAtom, ...]] = []
+    term: list[ModuleAtom] = []
+    expect_atom = True
+    for kind, value, pos in tokens + [("END", "", len(text))]:
+        if expect_atom:
+            if kind == "END":
+                raise ParseError("dangling operator in module descriptor", pos)
+            if kind in ("OPLUS", "OTIMES"):
+                raise ParseError(f"expected a module name, got {value!r}", pos)
+            if kind == "SL":
+                raise SemanticError(f"{value!r} names an algebra, not a module")
+            arg = int(value[value.index("(") + 1 : -1]) if kind in ("V", "TRIVIAL") else None
+            term.append(ModuleAtom(kind, value, arg))
+            expect_atom = False
+        elif kind == "OTIMES":
+            expect_atom = True
+        else:  # the term is complete
+            if len(term) == 1 and len(parts) != 1:
+                if term[0].kind == "V":
+                    raise SemanticError("V(n) needs the algebra to be a single sl2 summand")
+                if term[0].kind == "NATURAL":
+                    raise SemanticError("'natural' needs a single matrix-algebra summand")
+            elif len(term) != len(parts):
+                raise SemanticError(
+                    f"tensor term has {len(term)} factors but the algebra has "
+                    f"{len(parts)} summands"
+                )
+            else:
+                for atom, part in zip(term, parts):
+                    if atom.kind == "V" and part.n != 2:
+                        raise SemanticError(f"V(n) is a module of sl2, not of {part!r}")
+                    if atom.kind == "NATURAL" and part.n == 2:
+                        raise SemanticError(
+                            f"'natural' needs a matrix algebra slN with N >= 3, not {part!r}; "
+                            "over sl2 use V(1)"
+                        )
+            terms.append(tuple(term))
+            if kind not in ("OPLUS", "END"):
+                raise ParseError(f"expected 'o+', got {value!r}", pos)
+            term, expect_atom = [], True
+    return terms
+
+
+def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[AlgebraAtom]]:
+    """Parse and build an algebra expression; returns the algebra and its atoms."""
+    parts = parse_algebra_atoms(text)
+    for part in parts:
+        if part.n == 2:
+            part.algebra = sl2()
+        else:
+            part.algebra, part.natural = sl_n(part.n)
+    if len(parts) == 1:
+        return parts[0].algebra, parts
+    return direct_sum_algebras([p.algebra for p in parts]), parts
+
+
+def _module_atom(atom: ModuleAtom, part: AlgebraAtom, algebra: LieAlgebra) -> Representation:
+    if atom.kind == "V":
+        return sl2_module(atom.arg)
+    if atom.kind == "ADJOINT":
+        return adjoint_module(algebra)
+    if atom.kind == "TRIVIAL":
+        return trivial_module(algebra, atom.arg)
+    return part.natural
+
+
+def parse_module_descriptor(
+    text: str, algebra: LieAlgebra, parts: list[AlgebraAtom]
+) -> tuple[Representation, str]:
+    """Parse and build a module expression over what ``parse_algebra_descriptor``
+    returned; returns the module and the canonical (ASCII) form of the text."""
+    terms = parse_module_terms(text, parts)
+    built = []
+    for term in terms:
+        if len(term) == 1:
+            built.append(_module_atom(term[0], parts[0], algebra))
+            continue
+        factors = [_module_atom(atom, part, part.algebra) for atom, part in zip(term, parts)]
+        module = functools.reduce(tensor_module, factors)
+        if module.algebra != algebra:
+            raise SemanticError("tensor term does not assemble over the given algebra")
+        built.append(module)
+    module = built[0] if len(built) == 1 else direct_sum_modules(built)
+    return module, " o+ ".join(" (x) ".join(atom.text for atom in term) for term in terms)

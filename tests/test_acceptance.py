@@ -37,6 +37,9 @@ F = Fraction
 
 MAX_N = 8
 
+# the semisimple assembly of criterion 5, as --algebra and --module descriptors
+TWO_SUMMANDS = ("sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)")
+
 
 def _report(criterion: str, ok: bool, elapsed: float, budget: float | None, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -59,13 +62,8 @@ def suite():
     v = {n: lie_core.sl2_module(n) for n in range(MAX_N + 1)}
     sl3, natural = lie_core.sl_n(3)
     sl3_adj = lie_core.adjoint_module(sl3)
-    g2 = lie_core.direct_sum_algebras([lie_core.sl2(), lie_core.sl2()])
-    assembled = lie_core.direct_sum_modules(
-        [
-            lie_core.tensor_module(lie_core.sl2_module(1), lie_core.sl2_module(0)),
-            lie_core.tensor_module(lie_core.sl2_module(0), lie_core.sl2_module(2)),
-        ]
-    )
+    g2, parts = lie_core.parse_algebra_descriptor(TWO_SUMMANDS[0])
+    assembled, _ = lie_core.parse_module_descriptor(TWO_SUMMANDS[1], g2, parts)
     inputs = {
         "sl2": sl2,
         "v": v,
@@ -185,14 +183,12 @@ def _embedded_expected(delta):
 def test_criterion_5_semisimple_assembly(suite):
     t0 = time.time()
     g, module = suite["g2"], suite["assembled"]
-    g_parts = ["sl2", "sl2"]
-    v_parts = [(0, "V(1)"), (1, "V(2)")]
     expected_dims = {F(1): 5, F(-2): 4, F(-1): 5, F(1, 2): 1}
     ok = True
     detail = ""
     for d, want in expected_dims.items():
         space = solve(g, module, d)
-        predicted = theorem_dimension(g_parts, v_parts, d)
+        predicted = theorem_dimension(*TWO_SUMMANDS, d)
         good = space.dimension == want == predicted
         if good and d == F(1):
             good = span_equal(space.basis, list(inner_derivations(g, module).basis))
@@ -291,7 +287,7 @@ def test_criterion_6e_elimination_routes_agree(suite):
         if system.cols > 100:
             continue
         for d in (F(1), F(1, 2), F(-2, 3)):
-            matrix = system.specialize(d)
+            matrix = system.specialize(d, range(system.rows))
             fast = nullspace_bareiss(matrix, system.cols)
             dense = [[row.get(c, 0) for c in range(system.cols)] for row in matrix]
             slow = nullspace_gauss(dense, system.cols)

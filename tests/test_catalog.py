@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from deltader import delta_solver, lie_core
+from deltader import cli, delta_solver
 from deltader.catalog import (
     CASE_DELTA_ONE,
     CASE_MINUS_TWO_OVER_N,
-    CASE_ONE_HALF,
     CASE_TWO_OVER_N_PLUS_TWO,
     expected_family,
-    expected_sl2_basis,
     identity_derivation,
     span_equal,
     theorem_dimension,
@@ -17,6 +15,12 @@ from deltader.catalog import (
     verify_all,
 )
 from deltader.delta_solver import ShapeMismatch, is_delta_derivation, solve
+from deltader.lie_core import (
+    ParseError,
+    SemanticError,
+    parse_algebra_descriptor,
+    parse_module_descriptor,
+)
 
 F = Fraction
 
@@ -24,16 +28,16 @@ F = Fraction
 class TestExpectedBases:
     def test_counts(self):
         for n in range(1, 7):
-            assert len(expected_sl2_basis(n, CASE_DELTA_ONE)) == n + 1
-            assert len(expected_sl2_basis(n, CASE_MINUS_TWO_OVER_N)) == n + 3
+            assert len(expected_family(n, CASE_DELTA_ONE).basis) == n + 1
+            assert len(expected_family(n, CASE_MINUS_TWO_OVER_N).basis) == n + 3
             if n >= 2:
-                assert len(expected_sl2_basis(n, CASE_TWO_OVER_N_PLUS_TWO)) == n - 1
+                assert len(expected_family(n, CASE_TWO_OVER_N_PLUS_TWO).basis) == n - 1
 
     def test_n1_low_family_has_no_middle_maps(self):
-        assert len(expected_sl2_basis(1, CASE_MINUS_TWO_OVER_N)) == 4
+        assert len(expected_family(1, CASE_MINUS_TWO_OVER_N).basis) == 4
 
     def test_case_iii_map_n3_k1(self):
-        maps = expected_sl2_basis(3, CASE_TWO_OVER_N_PLUS_TWO)
+        maps = expected_family(3, CASE_TWO_OVER_N_PLUS_TWO).basis
         assert maps[0] == (
             (F(0), F(0), F(2), F(0)),
             (F(0), F(4), F(0), F(0)),
@@ -41,20 +45,18 @@ class TestExpectedBases:
         )
 
     def test_case_iii_n2_is_twice_the_identity(self):
-        maps = expected_sl2_basis(2, CASE_ONE_HALF)
+        maps = expected_family(2, CASE_TWO_OVER_N_PLUS_TWO).basis
         assert len(maps) == 1
         doubled = tuple(tuple(2 * x for x in row) for row in identity_derivation(3))
         assert v2_map_to_adjoint(maps[0]) == doubled
 
     def test_out_of_range_combinations(self):
         with pytest.raises(ValueError):
-            expected_sl2_basis(1, CASE_TWO_OVER_N_PLUS_TWO)
+            expected_family(1, CASE_TWO_OVER_N_PLUS_TWO)
         with pytest.raises(ValueError):
-            expected_sl2_basis(3, CASE_ONE_HALF)
+            expected_family(0, CASE_DELTA_ONE)
         with pytest.raises(ValueError):
-            expected_sl2_basis(0, CASE_DELTA_ONE)
-        with pytest.raises(ValueError):
-            expected_sl2_basis(2, "mystery")
+            expected_family(2, "mystery")
 
     def test_family_metadata(self):
         fam = expected_family(4, CASE_MINUS_TWO_OVER_N)
@@ -89,24 +91,24 @@ class TestExpectedBases:
 
 class TestSpanEqual:
     def test_reflexive(self):
-        b = expected_sl2_basis(2, CASE_MINUS_TWO_OVER_N)
+        b = expected_family(2, CASE_MINUS_TWO_OVER_N).basis
         assert span_equal(b, b)
 
     def test_scaling_invariance(self):
-        D = expected_sl2_basis(3, CASE_TWO_OVER_N_PLUS_TWO)[0]
+        D = expected_family(3, CASE_TWO_OVER_N_PLUS_TWO).basis[0]
         doubled = tuple(tuple(2 * x for x in row) for row in D)
         assert span_equal([D], [doubled])
 
     def test_different_spans(self):
-        b = expected_sl2_basis(2, CASE_MINUS_TWO_OVER_N)
+        b = expected_family(2, CASE_MINUS_TWO_OVER_N).basis
         assert not span_equal(b[:2], b[2:4])
         assert not span_equal(iter(b[:2]), iter(b[2:4]))  # one pass over each argument
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             span_equal(
-                expected_sl2_basis(1, CASE_MINUS_TWO_OVER_N),
-                expected_sl2_basis(2, CASE_MINUS_TWO_OVER_N),
+                expected_family(1, CASE_MINUS_TWO_OVER_N).basis,
+                expected_family(2, CASE_MINUS_TWO_OVER_N).basis,
             )
 
     def test_empty_spans_agree(self):
@@ -118,8 +120,7 @@ class TestSpanEqual:
 
 class TestTheoremDimension:
     def test_two_summand_instance(self):
-        g = ["sl2", "sl2"]
-        v = [(0, "V(1)"), (1, "V(2)")]
+        g, v = "sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)"
         assert theorem_dimension(g, v, F(-2)) == 4
         assert theorem_dimension(g, v, F(1, 2)) == 1
         assert theorem_dimension(g, v, F(3)) == 0
@@ -127,96 +128,101 @@ class TestTheoremDimension:
         assert theorem_dimension(g, v, F(-1)) == 5
 
     def test_sl3_entries(self):
-        assert theorem_dimension(["sl3"], [(0, "adjoint")], F(1)) == 8
-        assert theorem_dimension(["sl3"], [(0, "adjoint")], F(1, 2)) == 1
-        assert theorem_dimension(["sl3"], [(0, "adjoint")], F(-1)) == 0
-        assert theorem_dimension(["sl3"], [(0, "natural")], F(1)) == 3
-        assert theorem_dimension(["sl3"], [(0, "natural")], F(1, 2)) == 0
+        assert theorem_dimension("sl3", "adjoint", F(1)) == 8
+        assert theorem_dimension("sl3", "adjoint", F(1, 2)) == 1
+        assert theorem_dimension("sl3", "adjoint", F(-1)) == 0
+        assert theorem_dimension("sl3", "natural", F(1)) == 3
+        assert theorem_dimension("sl3", "natural", F(1, 2)) == 0
 
     def test_adjoint_over_sl2_counts_as_v2(self):
-        g = ["sl2"]
-        v = [(0, "adjoint")]
-        assert theorem_dimension(g, v, F(-1)) == 5
-        assert theorem_dimension(g, v, F(1, 2)) == 1
+        assert theorem_dimension("sl2", "adjoint", F(-1)) == 5
+        assert theorem_dimension("sl2", "adjoint", F(1, 2)) == 1
 
     def test_trivial_parts_only_matter_at_one(self):
-        g = ["sl2"]
-        assert theorem_dimension(g, [(0, "trivial")], F(1)) == 0
-        assert theorem_dimension(g, [(0, "V(1)"), (0, "trivial")], F(1)) == 2
-        assert theorem_dimension(g, [(0, "trivial(3)")], F(1)) == 0
+        assert theorem_dimension("sl2", "trivial(1)", F(1)) == 0
+        assert theorem_dimension("sl2", "V(1) o+ trivial(1)", F(1)) == 2
+        assert theorem_dimension("sl2", "trivial(3)", F(1)) == 0
+        assert theorem_dimension("sl2 o+ sl3", "V(2) (x) trivial(2)", F(1)) == 6
 
     def test_bad_descriptors(self):
-        with pytest.raises(ValueError):
-            theorem_dimension(["sl2"], [(0, "natural?")], F(1))
-        with pytest.raises(ValueError):
-            theorem_dimension(["sl3"], [(0, "V(2)")], F(1))
-        with pytest.raises(ValueError):
-            theorem_dimension(["sl2"], [(3, "V(1)")], F(1))
-        with pytest.raises(ValueError):
-            theorem_dimension(["so8"], [(0, "adjoint")], F(1))
+        with pytest.raises(ParseError):
+            theorem_dimension("sl2", "natural?", F(1))
+        with pytest.raises(SemanticError):
+            theorem_dimension("sl3", "V(2)", F(1))
+        with pytest.raises(SemanticError):
+            theorem_dimension("sl2", "V(1) (x) V(1)", F(1))
+        with pytest.raises(ParseError):
+            theorem_dimension("so8", "adjoint", F(1))
 
-    def _solver_dimension(self, g_parts, v_parts, delta):
-        algebras = {
-            "sl2": lie_core.sl2,
-            "sl3": lambda: lie_core.sl_n(3)[0],
-        }
-        parts = [algebras[p]() for p in g_parts]
-        g = parts[0] if len(parts) == 1 else lie_core.direct_sum_algebras(parts)
+    def test_a_term_on_two_summands_is_not_counted(self):
+        with pytest.raises(ValueError, match="nontrivial on 2 summands"):
+            theorem_dimension("sl2 o+ sl2", "V(1) (x) V(1)", F(1))
 
-        def part_module(idx, desc):
-            def atom(algebra_desc, name):
-                if algebra_desc == "sl2":
-                    if name.startswith("V("):
-                        return lie_core.sl2_module(int(name[2:-1]))
-                    if name == "adjoint":
-                        return lie_core.sl2_module(2)
-                    return lie_core.sl2_module(0)
-                m = int(algebra_desc[2:])
-                if name == "natural":
-                    return lie_core.sl_n(m)[1]
-                if name == "adjoint":
-                    return lie_core.adjoint_module(lie_core.sl_n(m)[0])
-                return lie_core.trivial_module(lie_core.sl_n(m)[0], 1)
-
-            if len(g_parts) == 1:
-                return atom(g_parts[0], desc)
-            built = None
-            for s, part_desc in enumerate(g_parts):
-                factor = atom(part_desc, desc if s == idx else "trivial")
-                built = factor if built is None else lie_core.tensor_module(built, factor)
-            return built
-
-        modules = [part_module(idx, desc) for idx, desc in v_parts]
-        module = (
-            modules[0] if len(modules) == 1 else lie_core.direct_sum_modules(modules)
-        )
-        return delta_solver.solve(g, module, delta).dimension
+    @pytest.mark.parametrize("algebra, module", [
+        ("sl2", "natural"),
+        ("sl2", "trivial"),
+        ("sl2", "trivial(-2)"),
+        ("sl02", "natural"),
+        ("sl02", "V(1)"),
+        ("sl1", "trivial(1)"),
+        ("sl2 o+", "V(1)"),
+        ("sl2 (x) sl2", "V(1)"),
+        ("V(1)", "V(1)"),
+        ("sl2", ""),
+        ("sl2", "V(1) o+"),
+        ("sl2", "V(1) V(2)"),
+        ("sl2", "sl2"),
+        ("sl2 o+ sl2", "V(2)"),
+        ("sl2 o+ sl3", "natural"),
+        ("sl2 o+ sl3", "V(1) (x) V(1)"),
+        ("sl2 o+ sl3", "natural (x) V(1)"),
+        ("sl2 o+ sl2", "V(1) (x) V(0) (x) V(0)"),
+        ("sl3", "V(1)"),
+        ("sl2 ⊕ sl3", "V(1) ⊗ trivial(1) o+ adjoint"),
+        ("sl2 o+ sl3", "trivial(2) o+ V(0) (x) natural"),
+    ])
+    def test_the_cli_fails_exactly_where_the_theorem_raises(self, capsys, algebra, module):
+        code = cli.main(["solve", "--algebra", algebra, "--module", module, "--delta", "1"])
+        err = capsys.readouterr().err
+        try:
+            theorem_dimension(algebra, module, F(1))
+        except (ParseError, SemanticError) as exc:
+            assert (code, err) == (2, f"error: {exc}\n")
+        else:
+            assert (code, err) == (0, "")
 
     def test_agreement_with_solver_on_assembled_inputs(self):
         deltas = [F(1), F(1, 2), F(-2), F(-1), F(-2, 3), F(2, 5), F(1, 3), F(3)]
         cases = [
-            (["sl2"], [(0, "V(1)")]),
-            (["sl2"], [(0, "V(2)")]),
-            (["sl2"], [(0, "V(3)")]),
-            (["sl2"], [(0, "V(4)")]),
-            (["sl2"], [(0, "V(1)"), (0, "V(2)")]),
-            (["sl2"], [(0, "trivial"), (0, "V(3)")]),
-            (["sl2"], [(0, "V(2)"), (0, "V(2)")]),
-            (["sl2", "sl2"], [(0, "V(1)")]),
-            (["sl2", "sl2"], [(1, "V(2)")]),
-            (["sl2", "sl2"], [(0, "V(1)"), (1, "V(1)")]),
-            (["sl2", "sl2"], [(0, "V(2)"), (1, "V(3)")]),
-            (["sl2", "sl2", "sl2"], [(1, "V(1)")]),
-            (["sl2", "sl2", "sl2"], [(0, "V(1)"), (2, "V(2)")]),
-            (["sl2", "sl3"], [(0, "V(2)")]),
-            (["sl2", "sl3"], [(1, "adjoint")]),
-            (["sl2", "sl3"], [(0, "V(1)"), (1, "natural")]),
+            ("sl2", "V(1)"),
+            ("sl2", "V(2)"),
+            ("sl2", "V(3)"),
+            ("sl2", "V(4)"),
+            ("sl2", "V(1) o+ V(2)"),
+            ("sl2", "trivial(1) o+ V(3)"),
+            ("sl2", "V(2) o+ V(2)"),
+            ("sl2", "V(1) o+ V(1)"),
+            ("sl2", "adjoint"),
+            ("sl2 o+ sl2", "V(1) (x) V(0)"),
+            ("sl2 o+ sl2", "V(0) (x) V(2)"),
+            ("sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(1)"),
+            ("sl2 o+ sl2", "V(2) (x) V(0) o+ V(0) (x) V(3)"),
+            ("sl2 o+ sl2 o+ sl2", "V(0) (x) V(1) (x) V(0)"),
+            ("sl2 o+ sl2 o+ sl2", "V(1) (x) V(0) (x) V(0) o+ V(0) (x) V(0) (x) V(2)"),
+            ("sl2 o+ sl3", "V(2) (x) trivial(1)"),
+            ("sl2 o+ sl3", "V(0) (x) adjoint"),
+            ("sl2 o+ sl3", "V(1) (x) trivial(1) o+ V(0) (x) natural"),
+            ("sl2 o+ sl3", "trivial(2)"),
+            ("sl2 o+ sl3", "V(2) (x) trivial(2)"),
+            ("sl2 o+ sl3", "adjoint"),
         ]
-        for g_parts, v_parts in cases:
+        for algebra, module in cases:
+            g, parts = parse_algebra_descriptor(algebra)
+            v, _ = parse_module_descriptor(module, g, parts)
             for d in deltas:
-                want = theorem_dimension(g_parts, v_parts, d)
-                got = self._solver_dimension(g_parts, v_parts, d)
-                assert got == want, (g_parts, v_parts, d, got, want)
+                want = theorem_dimension(algebra, module, d)
+                got = solve(g, v, d).dimension
+                assert got == want, (algebra, module, d, got, want)
 
 
 class TestVerifyAll:

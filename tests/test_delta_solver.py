@@ -46,12 +46,12 @@ class TestAssembly:
         abelian = algebra_from_structure_constants(3, [])
         rep = trivial_module(abelian, 2)
         system = assemble_system(abelian, rep)
-        assert not any(system.specialize(0))
+        assert not any(system.specialize(0, range(system.rows)))
 
     def test_entries_have_degree_at_most_one(self, sl2):
         # integer constants, so at integer d the rows are A + d*B unscaled
         system = assemble_system(sl2, sl2_module(2))
-        at = [system.specialize(d) for d in range(3)]
+        at = [system.specialize(d, range(system.rows)) for d in range(3)]
         entry = [[[row.get(c, 0) for c in range(9)] for row in m] for m in at]
         for r in range(9):
             for c in range(9):
@@ -67,9 +67,15 @@ class TestAssembly:
             dim_v = n + 1
             row = 0 * dim_v + r  # pair (0, 1) is the first block
             for d in (-1, 0, 1, 3):
-                specialized = system.specialize(d)[row]
+                specialized = system.specialize(d, [row])[0]
                 assert specialized.get(0 * dim_v + r, 0) == 2 + d * (n - 2 * r)
                 assert specialized.get(1 * dim_v + (r - 1), 0) == -d * r
+
+    def test_specialize_builds_the_given_rows_in_order(self, sl2):
+        system = assemble_system(sl2, sl2_module(3))
+        whole = system.specialize(F(-2, 3), range(system.rows))
+        rows = [7, 0, 11, 7]
+        assert system.specialize(F(-2, 3), rows) == [whole[r] for r in rows]
 
     def test_algebra_mismatch(self, sl2, sl3_natural):
         with pytest.raises(AlgebraMismatch):
@@ -561,7 +567,8 @@ class TestBlockedScan:
         rng = random.Random(name)
         tried = candidates | {F(0)} | {F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)}
         for d in sorted(tried):
-            rows = [[row.get(c, 0) for c in range(system.cols)] for row in system.specialize(d)]
+            whole = system.specialize(d, range(system.rows))
+            rows = [[row.get(c, 0) for c in range(system.cols)] for row in whole]
             expected = len(nullspace_gauss(rows, system.cols))
             assert delta_solver._dimension_at(system, blocks, d) == expected
             assert kernel_at(system, d).dimension == expected
