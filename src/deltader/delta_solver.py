@@ -117,13 +117,17 @@ class DerivationSpace(NamedTuple):
 
 
 class ScanReport(NamedTuple):
-    """All rational d with nontrivial twisted-derivation space.
+    """The rational d at which some block of the pencil can lose rank.
 
-    ``findings`` maps each verified rational d to its kernel dimension, in
-    ascending d order.  ``nonrational_factors`` lists normalized pivot
-    factors of degree >= 2 without rational roots; their irrational roots
-    are the only values the scan does not certify.  ``generic_rank`` is the
-    rank of the pencil over the rational function field.
+    ``findings`` maps each rational root of a block's last pivot (and 0,
+    when asked for) to its verified kernel dimension if that is nonzero, in
+    ascending d order.  When the generic rank is full these are exactly the
+    rational d with a nontrivial twisted-derivation space.
+    ``nonrational_factors`` lists what remains of each last pivot after its
+    rational roots are divided out, when of degree >= 2 (primitive, leading
+    coefficient positive); their irrational roots are the only values the
+    scan does not certify.  ``generic_rank`` is the rank of the pencil over
+    the rational function field.
     """
 
     findings: dict[Fraction, int]
@@ -334,54 +338,19 @@ def _components(system: DerivationSystem) -> list[tuple[list[int], list[int]]]:
     return list(blocks.values())
 
 
-_Block = tuple[list[int], list[int], int, frozenset[Fraction]]
+def _dimension_at(system: DerivationSystem, nullity: int, blocks, delta: Fraction) -> int:
+    """The kernel dimension of the pencil at ``delta``, given its generic
+    nullity and the blocks ``(rows, cols, rank)`` whose last pivot vanishes
+    there.
 
-
-def _eliminate_blocks(system: DerivationSystem) -> tuple[list[_Block], set[Fraction], set[Poly]]:
-    """Eliminate each component of the pencil over ZZ[d].
-
-    Returns the blocks, each as its rows, its columns, its rank over the
-    rational function field and the rational roots of its last pivot; the
-    rational roots of all pivots (the scan's candidates); and what remains of
-    each last pivot of degree >= 2 after its rational roots are divided out
-    (normalized).
+    Every other block keeps its generic rank.  Each block handed in is
+    specialized (its rows only, mapped to block-local columns) and
+    eliminated, its kernel replaces its generic cols - rank, and every
+    kernel vector found is embedded and re-checked against the defining
+    equation.
     """
-    blocks: list[_Block] = []
-    candidates: set[Fraction] = set()
-    nonrational: set[Poly] = set()
-    for rows, cols in _components(system):
-        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
-        drops: list[Fraction] = []
-        for which, pivot in enumerate(pivots):
-            p = poly_normalize(pivot)
-            if p.degree < 1:
-                continue
-            roots = poly_rational_roots(p)
-            candidates.update(roots)
-            if which == len(pivots) - 1:
-                drops = roots
-                residual = _strip_rational_roots(p, roots)
-                if residual.degree >= 2:
-                    nonrational.add(poly_normalize(residual))
-        blocks.append((rows, cols, rank, frozenset(drops)))
-    return blocks, candidates, nonrational
-
-
-def _dimension_at(system: DerivationSystem, blocks: list[_Block], delta: Fraction) -> int:
-    """The kernel dimension of the pencil at ``delta``, eliminating only the
-    blocks that can lose rank there.
-
-    A block whose last pivot, a maximal nonzero minor, is nonzero at
-    ``delta`` keeps its generic rank and adds cols - rank; each column no
-    equation touches adds 1.  The blocks whose last pivot vanishes are
-    specialized (their rows only, mapped to block-local columns) and
-    eliminated, and every kernel vector found is embedded and re-checked
-    against the defining equation.
-    """
-    dim = system.cols - sum(rank for _, _, rank, _ in blocks)
-    for rows, cols, rank, drops in blocks:
-        if delta not in drops:
-            continue
+    dim = nullity
+    for rows, cols, rank in blocks:
         local = {c: t for t, c in enumerate(cols)}
         vectors = nullspace_bareiss(
             [{local[c]: x for c, x in row.items()} for row in system.specialize(delta, rows)],
@@ -404,30 +373,25 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     Method: split the pencil into the connected components of its
     row-column incidence graph (``_components``).  Ordered by component
     the pencil is block diagonal, so its rank at every d, and over the
-    rational function field, is the sum of the block ranks; the generic
-    rank adds up the same way.  Each block is eliminated on its own by
-    fraction-free elimination over ZZ[d], recording every pivot
-    polynomial.  If all pivots of a block are nonzero at some d0, the
-    specialized elimination is valid there and that block's rank does not
-    drop, so any rank-dropping d0 is a root of some block's pivot; the
-    union of the pivots' rational roots is therefore a superset of all
-    rational exceptional values, and these are the candidates.
+    rational function field, is the sum of the block ranks.  Each block is
+    eliminated on its own by fraction-free elimination over ZZ[d]
+    (``pencil_eliminate``), which gives its generic rank and its last
+    pivot.  That pivot is one of the block's maximal nonzero minors
+    (Bareiss), so the block keeps its generic rank wherever it is nonzero,
+    and a rank drop at d0 makes every maximal minor of the block, this one
+    included, vanish there.  The rational roots of the last pivots are
+    therefore a superset of the rational exceptional values, and these are
+    the candidates; each is recorded with the blocks whose last pivot
+    vanishes there.
 
-    A block's last pivot is one of its maximal nonzero minors (Bareiss), so
-    the block keeps its generic rank wherever that pivot is nonzero, and a
-    rank drop at d0 makes every maximal minor of the block vanish there.
-    The kernel at a candidate is therefore block-local (``_dimension_at``):
-    only the blocks whose last pivot has the candidate as a root are
-    specialized and eliminated, their kernel vectors are re-checked by code
-    independent of the elimination, and every other block adds its generic
-    nullity.  That makes the report exact over the rationals.
-
-    Irrational rank drops are bounded through the last pivots too: whatever
-    survives of a last pivot after its rational roots are divided out
-    (necessarily of degree >= 2) is reported unresolved in
-    ``nonrational_factors``.  Earlier pivots are smaller minors whose extra
-    factors need not witness any rank drop, so they contribute candidates
-    but never unresolved factors.
+    The kernel at a candidate is block-local (``_dimension_at``): only the
+    blocks recorded for it are specialized and eliminated, their kernel
+    vectors are re-checked by code independent of the elimination, and
+    every other block adds its generic nullity.  That makes the report
+    exact over the rationals.  Irrational rank drops are bounded the same
+    way: whatever survives of a last pivot after its rational roots are
+    divided out (necessarily of degree >= 2) is reported unresolved in
+    ``nonrational_factors``.
 
     d = 0 is excluded by default: the equation at 0 just says D kills the
     commutant, so the dimension is (dim L - dim [L,L]) * dim V, which is 0
@@ -435,7 +399,21 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     ``include_zero`` the value is verified and reported like any other.
     """
     system = assemble_system(L, V)
-    blocks, candidates, nonrational = _eliminate_blocks(system)
+    generic_rank = 0
+    drops: dict[Fraction, list[tuple[list[int], list[int], int]]] = {}
+    nonrational: set[Poly] = set()
+    for rows, cols in _components(system):
+        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
+        generic_rank += rank
+        last = poly_normalize(pivots[-1])
+        if last.degree < 1:
+            continue
+        roots = poly_rational_roots(last)
+        for d in roots:
+            drops.setdefault(d, []).append((rows, cols, rank))
+        residual = _strip_rational_roots(last, roots)
+        if residual.degree >= 2:
+            nonrational.add(residual)
     # The elimination works on untracked integers, so it rarely triggers an
     # automatic collection, and the reference cycles left by earlier work
     # stay in memory until one runs: after an input-dense scan job, the full
@@ -445,21 +423,15 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     # collection after the last block suffices.
     gc.collect()
 
+    nullity = system.cols - generic_rank
     zero = Fraction(0)
-    candidates.discard(zero)
+    tried = drops.keys() | {zero} if include_zero else drops.keys() - {zero}
     findings: dict[Fraction, int] = {}
-    if include_zero:
-        closed_form = (L.dim - L.commutant_dimension()) * V.dim_v
-        dim_at_zero = _dimension_at(system, blocks, zero)
-        if dim_at_zero != closed_form:
+    for delta in sorted(tried):
+        dim = _dimension_at(system, nullity, drops.get(delta, ()), delta)
+        if delta == zero and dim != (L.dim - L.commutant_dimension()) * V.dim_v:
             raise VerificationFailure("closed form at d=0 disagrees with the kernel")
-        if dim_at_zero >= 1:
-            findings[zero] = dim_at_zero
-    for delta in sorted(candidates):
-        dim = _dimension_at(system, blocks, delta)
         if dim >= 1:
             findings[delta] = dim
-    findings = dict(sorted(findings.items()))
     factors = tuple(sorted(nonrational, key=lambda q: (q.degree, q.coeffs)))
-    generic_rank = sum(rank for _, _, rank, _ in blocks)
     return ScanReport(findings=findings, nonrational_factors=factors, generic_rank=generic_rank)

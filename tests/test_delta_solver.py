@@ -16,7 +16,7 @@ from deltader.delta_solver import (
     scan,
     solve,
 )
-from deltader.exact_arith import Poly
+from deltader.exact_arith import Poly, poly_rational_roots
 from deltader.lie_core import (
     AlgebraMismatch,
     adjoint_module,
@@ -550,12 +550,23 @@ def _blocked_scan_input(name):
     return L, adjoint_module(L) if name.endswith("adjoint") else natural
 
 
+def _pivot_roots(system):
+    """Per component of the pencil: its rows, columns and generic rank, the rational
+    roots of its last pivot and those of its earlier pivots."""
+    out = []
+    for rows, cols in delta_solver._components(system):
+        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
+        roots = [set(poly_rational_roots(p)) if p.degree >= 1 else set() for p in pivots]
+        out.append((rows, cols, rank, roots[-1], set().union(*roots[:-1])))
+    return out
+
+
 class TestBlockedScan:
     """Candidate kernels taken block by block against the whole-system kernels."""
 
     @pytest.mark.parametrize("name", [
-        # sl2 V(6) and the scrambled 3-dimensional module have candidates that are roots
-        # of earlier pivots only, the latter with a nonzero generic kernel
+        # sl2 V(6) and the scrambled 3-dimensional module have roots of earlier pivots
+        # that no last pivot shares, the latter with a nonzero generic kernel
         "sl2 V(0) o+ V(2)", "sl2 trivial(2)", "sl2 V(6)", "[x,y]=y a=0 n=2", "[x,y]=y a=1 n=2",
         "[x,y]=y a=2 n=2", "[x,y]=y a=-1 n=2", "[x,y]=y a=1/2 n=2", "[x,y]=y a=1/2 n=3 scrambled",
         "heisenberg natural", "heisenberg adjoint", "upper natural", "upper adjoint", "so5 natural",
@@ -563,20 +574,35 @@ class TestBlockedScan:
     def test_dimensions_match_whole_system_kernels(self, name):
         L, V = _blocked_scan_input(name)
         system = assemble_system(L, V)
-        blocks, candidates, _ = delta_solver._eliminate_blocks(system)
+        blocks = _pivot_roots(system)
+        nullity = system.cols - sum(rank for _, _, rank, _, _ in blocks)
+        candidates = set().union(*(last for _, _, _, last, _ in blocks))
+        earlier_only = set().union(*(earlier for *_, earlier in blocks)) - candidates
+        if name == "sl2 V(6)":
+            assert earlier_only == {F(-1, 2), F(0), F(1, 3)}
         rng = random.Random(name)
-        tried = candidates | {F(0)} | {F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)}
+        tried = candidates | earlier_only | {F(0)}
+        tried |= {F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)}
         for d in sorted(tried):
             whole = system.specialize(d, range(system.rows))
-            rows = [[row.get(c, 0) for c in range(system.cols)] for row in whole]
-            expected = len(nullspace_gauss(rows, system.cols))
-            assert delta_solver._dimension_at(system, blocks, d) == expected
+            dense = [[row.get(c, 0) for c in range(system.cols)] for row in whole]
+            expected = len(nullspace_gauss(dense, system.cols))
+            dropping = [(rows, cols, rank) for rows, cols, rank, last, _ in blocks if d in last]
+            assert delta_solver._dimension_at(system, nullity, dropping, d) == expected
             assert kernel_at(system, d).dimension == expected
-        if name in ("sl2 V(6)", "[x,y]=y a=1/2 n=3 scrambled"):
-            assert candidates - set().union(*(drops for _, _, _, drops in blocks))
+            if d in earlier_only:
+                assert expected == nullity
         report = scan(L, V, include_zero=True)
-        assert report.generic_rank == sum(rank for _, _, rank, _ in blocks)
+        assert report.generic_rank == system.cols - nullity
+        assert set(report.findings) <= candidates | {F(0)}
         assert all(report.findings[d] == kernel_at(system, d).dimension for d in report.findings)
+
+    def test_a_scrambled_basis_reports_what_its_own_basis_does(self):
+        # -2 is a root of earlier pivots of the scrambled pencil only, where the
+        # dimension is the generic nullity 3; it is no candidate in either basis
+        own = scan(*_blocked_scan_input("[x,y]=y a=1/2 n=3"), include_zero=True)
+        assert F(-2) not in own.findings
+        assert scan(*_blocked_scan_input("[x,y]=y a=1/2 n=3 scrambled"), include_zero=True) == own
 
     def test_candidates_eliminate_fewer_columns_than_the_system(self, monkeypatch):
         L, parts = parse_algebra_descriptor("sl4")
@@ -589,9 +615,9 @@ class TestBlockedScan:
             widths.append(ncols)
             return real_nullspace(rows, ncols)
 
-        def dimension_at(system, blocks, delta):
+        def dimension_at(system, nullity, blocks, delta):
             widths.clear()
-            dim = real_dimension(system, blocks, delta)
+            dim = real_dimension(system, nullity, blocks, delta)
             per_candidate.append(sum(widths))
             return dim
 
