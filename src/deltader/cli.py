@@ -74,6 +74,12 @@ def _integer(x) -> int:
     return int(x)
 
 
+def _dimension(data: dict) -> int:
+    dim = _integer(data["dim"])
+    _require(dim >= 0, "'dim' must be a nonnegative integer")
+    return dim
+
+
 def _lists(value, length=None) -> bool:
     """Whether value is a list of lists, each of the given length if one is given."""
     return isinstance(value, list) and all(
@@ -83,7 +89,7 @@ def _lists(value, length=None) -> bool:
 
 def algebra_from_json(data) -> LieAlgebra:
     _require(isinstance(data, dict) and "dim" in data, "'algebra' must be an object with 'dim'")
-    dim, labels, summands = _integer(data["dim"]), data.get("labels"), data.get("summands")
+    dim, labels, summands = _dimension(data), data.get("labels"), data.get("summands")
     _require(_lists(data.get("brackets"), 4), "'brackets' must be a list of [i, j, k, c] entries")
     _require(labels is None or isinstance(labels, list) and len(labels) == dim
              and all(isinstance(x, str) for x in labels), f"'labels' must be {dim} strings")
@@ -103,7 +109,7 @@ def algebra_from_json(data) -> LieAlgebra:
 def module_from_json(data, algebra: LieAlgebra) -> Representation:
     """The module of a JSON object; its dense action matrices become sparse rows."""
     _require(isinstance(data, dict) and "dim" in data, "'module' must be an object with 'dim'")
-    dim = _integer(data["dim"])
+    dim = _dimension(data)
     _require(isinstance(data.get("action"), list)
              and all(_lists(m, dim) and len(m) == dim for m in data["action"]),
              f"'action' must be a list of {dim} x {dim} matrices given as lists of rows")
@@ -213,7 +219,7 @@ def _load_inputs(job: argparse.Namespace) -> tuple[LieAlgebra, Representation, d
         # one action per basis element, checked before the Jacobi check's C(dim, 3) triples
         alg, mod = data["algebra"], data["module"]
         _require(isinstance(alg, dict) and "dim" in alg, "'algebra' must be an object with 'dim'")
-        dim = _integer(alg["dim"])
+        dim = _dimension(alg)
         _require(isinstance(mod, dict) and isinstance(mod.get("action"), list)
                  and len(mod["action"]) == dim,
                  f"'action' must be a list of {dim} matrices, one per algebra basis element")

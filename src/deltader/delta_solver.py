@@ -181,22 +181,38 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
 
     Returns (True, None), or (False, (i, j, residual)) for the first pair
     where the equation fails.  Independent of the elimination code.
+
+    The arithmetic is on integers: with cden, aden and vden the lcms of the
+    denominators of the structure constants, of the action entries and of
+    D's entries, and d = p/q, every residual is evaluated multiplied by
+    q * aden * cden * vden, so it vanishes exactly when the rational one does.
     """
     delta = Fraction(delta)
+    p, q = delta.numerator, delta.denominator
     dim, dim_v = L.dim, V.dim_v
     if len(D) != dim or any(len(row) != dim_v for row in D):
         raise ShapeMismatch(f"map must be {dim} x {dim_v}")
-    # columns[a][m]: the nonzero coordinates (r, x) of d * (e_a . v_m)
+    cden = lcm(*(c.denominator for terms in L.structure.values() for _, c in terms))
+    aden = lcm(*(x.denominator for rows in V.action for row in rows for x in row.values()))
+    vden = lcm(*(x.denominator for row in D for x in row))
+    # structure[(i, j)]: the terms (k, c) of [e_i, e_j], c scaled by q * aden * cden
+    structure = {
+        pair: [(k, q * aden * (cden * c.numerator // c.denominator)) for k, c in terms]
+        for pair, terms in L.structure.items()
+    }
+    # columns[a][m]: the nonzero coordinates (r, x) of d * (e_a . v_m), scaled by q * cden * aden
     columns = [[[] for _ in range(dim_v)] for _ in range(dim)]
     for a, rows in enumerate(V.action):
         for r, row in enumerate(rows):
             for m, x in row.items():
-                columns[a][m].append((r, delta * x))
-    images = [[(m, x) for m, x in enumerate(row) if x] for row in D]
+                columns[a][m].append((r, p * cden * (aden * x.numerator // x.denominator)))
+    images = [
+        [(m, vden * x.numerator // x.denominator) for m, x in enumerate(row) if x] for row in D
+    ]
     for i in range(dim):
         for j in range(i + 1, dim):
-            residual = [Fraction(0)] * dim_v
-            for k, c in L.structure.get((i, j), ()):
+            residual = [0] * dim_v
+            for k, c in structure.get((i, j), ()):
                 for r, x in images[k]:
                     residual[r] += c * x
             for m, x in images[i]:  # + d * e_j . D(e_i)
@@ -206,7 +222,8 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
                 for r, y in columns[i][m]:
                     residual[r] -= y * x
             if any(residual):
-                return False, (i, j, tuple(residual))
+                scale = q * aden * cden * vden
+                return False, (i, j, tuple(Fraction(x, scale) for x in residual))
     return True, None
 
 
@@ -415,12 +432,13 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
         if residual.degree >= 2:
             nonrational.add(residual)
     # The elimination works on untracked integers, so it rarely triggers an
-    # automatic collection, and the reference cycles left by earlier work
-    # stay in memory until one runs: after an input-dense scan job, the full
-    # collection here frees about 30 cyclic objects (the closures of the
-    # previous job's JSON encoder) and about 850 allocator blocks, mostly
-    # from CPython's free lists, which only a full collection empties.  One
-    # collection after the last block suffices.
+    # automatic collection, let alone a full one, and CPython empties its
+    # free lists only in a full collection: without this one, a process
+    # that scans job after job keeps growing its allocated blocks.  The
+    # cyclic objects it also frees (about 30 after a job, the closures of
+    # the previous job's JSON encoder) are not that cost; with no cycles
+    # left and no collection, the blocks still grow.  One collection after
+    # the last block suffices.
     gc.collect()
 
     nullity = system.cols - generic_rank

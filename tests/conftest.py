@@ -66,3 +66,21 @@ def probe():
         alg, sparse([[[0, 2], [1, 0]], [[0, 0], [0, 0]]]), 2
     )
     return alg, module
+
+
+@pytest.fixture(scope="session")
+def rescaled_json():
+    """sl2 in the basis (3 e-, h, e+/2) and its V(2) in the basis (v0, v1/3, v2), as
+    ``--input`` JSON: brackets and action entries carry denominators 2 and 3."""
+    L, V = lie_core.sl2(), lie_core.sl2_module(2)
+    s, t = (F(3), F(1), F(1, 2)), (F(1), F(1, 3), F(1))
+    brackets = [
+        [i, j, k, str(s[i] * s[j] * c / s[k])]
+        for (i, j), terms in L.structure.items()
+        for k, c in terms
+    ]
+    action = [
+        [[str(s[a] * V.action[a][r].get(m, 0) * t[m] / t[r]) for m in range(3)] for r in range(3)]
+        for a in range(3)
+    ]
+    return {"algebra": {"dim": 3, "brackets": brackets}, "module": {"dim": 3, "action": action}}

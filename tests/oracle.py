@@ -4,7 +4,9 @@ A plain Gauss-Jordan elimination on Fractions (``rref``) and what follows
 from it: the canonical basis of a span, span equality and the kernel.  It
 shares no code with ``deltader.linalg.nullspace_bareiss``, the package's
 only elimination, and both give the same canonical basis: the reduced row
-echelon form, with pivot entries 1 and zero rows dropped.
+echelon form, with pivot entries 1 and zero rows dropped.  ``delta_residual``
+evaluates the defining equation densely, apart from the package's integer
+re-check ``deltader.delta_solver.is_delta_derivation``.
 """
 
 from fractions import Fraction
@@ -78,3 +80,26 @@ def bracket(L, i: int, j: int) -> Vec:
 def sparse(matrices):
     """Dense action matrices as the {column: value} rows the package stores."""
     return [[{s: x for s, x in enumerate(row) if x} for row in m] for m in matrices]
+
+
+def delta_residual(D, L, V, delta) -> tuple[int, int, tuple[Fraction, ...]] | None:
+    """The first basis pair i < j where D([e_i, e_j]) = d (e_i . D(e_j) - e_j . D(e_i))
+    fails, as (i, j, residual) with residual = left side - right side, or None.
+
+    Dense Fraction arithmetic on the bracket and on the action matrices."""
+    d = Fraction(delta)
+    dim_v = V.dim_v
+    rho = [[[row.get(m, 0) for m in range(dim_v)] for row in rows] for rows in V.action]
+
+    def act(a, v):
+        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in rho[a]]
+
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            b = bracket(L, i, j)
+            lhs = [sum((b[k] * D[k][r] for k in range(L.dim)), Fraction(0)) for r in range(dim_v)]
+            rhs = [d * (x - y) for x, y in zip(act(i, D[j]), act(j, D[i]))]
+            residual = tuple(x - y for x, y in zip(lhs, rhs))
+            if any(residual):
+                return i, j, residual
+    return None

@@ -415,6 +415,22 @@ class TestDescribeAndRoundTrip:
             {"delta": "1", "dimension": 2},
         ]
 
+    def test_rational_input_reports_what_the_built_in_does(self, capsys, tmp_path,
+                                                           rescaled_json):
+        path = tmp_path / "rescaled.json"
+        path.write_text(json.dumps(rescaled_json))
+        code, out, _ = run_cli(capsys, "scan", "--input", str(path))
+        assert code == 0
+        _, built_in, _ = run_cli(capsys, "scan", "--algebra", "sl2", "--module", "V(2)")
+        assert json.loads(out)["findings"] == json.loads(built_in)["findings"] == [
+            {"delta": "-1", "dimension": 5},
+            {"delta": "1/2", "dimension": 1},
+            {"delta": "1", "dimension": 3},
+        ]
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--delta", "1/2")
+        assert code == 0
+        assert json.loads(out)["dimension"] == 1
+
     def test_module_weights_are_echoed(self, capsys, tmp_path):
         payload = {
             "algebra": {"dim": 1, "brackets": []},
@@ -486,6 +502,17 @@ class TestDescribeAndRoundTrip:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("payload", [
+        {"algebra": {"dim": -1, "brackets": []}, "module": {"dim": 1, "action": []}},
+        {"algebra": {"dim": 1, "brackets": []}, "module": {"dim": "-2", "action": [[]]}},
+    ], ids=["algebra", "module"])
+    def test_negative_dim_is_rejected_first(self, capsys, tmp_path, payload):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "scan", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: malformed input: 'dim' must be a nonnegative integer\n"
 
     def test_action_count_is_checked_before_the_algebra_is_built(self, capsys, tmp_path,
                                                                  monkeypatch):

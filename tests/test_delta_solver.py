@@ -3,9 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltader import delta_solver
-from deltader.cli import parse_algebra_descriptor, parse_module_descriptor
+from deltader.cli import (
+    algebra_from_json,
+    module_from_json,
+    parse_algebra_descriptor,
+    parse_module_descriptor,
+)
 from deltader.delta_solver import (
     ShapeMismatch,
     assemble_system,
@@ -27,7 +34,15 @@ from deltader.lie_core import (
     trivial_module,
 )
 from deltader.linalg import pencil_eliminate
-from oracle import bracket, canonical_basis, nullspace_gauss, rref, sparse, spans_equal
+from oracle import (
+    bracket,
+    canonical_basis,
+    delta_residual,
+    nullspace_gauss,
+    rref,
+    sparse,
+    spans_equal,
+)
 
 F = Fraction
 
@@ -487,6 +502,57 @@ class TestIsDeltaDerivation:
     def test_shape_mismatch(self, sl2, v_modules):
         with pytest.raises(ShapeMismatch):
             is_delta_derivation(((F(0),),), sl2, v_modules[1], F(1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d0=st.sampled_from([F(1), F(-1), F(1, 2)]),
+        d=st.one_of(st.none(), st.builds(F, st.integers(-6, 6), st.integers(1, 6))),
+        t=st.integers(0, 4),
+        entry=st.integers(0, 8),
+        bump=st.builds(F, st.integers(-3, 3), st.integers(1, 4)),
+    )
+    def test_integer_recheck_matches_dense_evaluation(self, rescaled_json, d0, d, t, entry, bump):
+        # a basis map of the rescaled sl2 V(2) at d0, one entry moved by bump
+        # (possibly 0), checked at d0 or at d
+        L = algebra_from_json(rescaled_json["algebra"])
+        V = module_from_json(rescaled_json["module"], L)
+        basis = solve(L, V, d0).basis
+        D = [list(row) for row in basis[t % len(basis)]]
+        D[entry // 3][entry % 3] += bump
+        at = d0 if d is None else d
+        witness = delta_residual(D, L, V, at)
+        assert is_delta_derivation(D, L, V, at) == (witness is None, witness)
+
+
+class TestReverification:
+    """Every kernel vector is re-checked once against the defining equation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        real = delta_solver.is_delta_derivation
+
+        def counting(*args):
+            counted.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(delta_solver, "is_delta_derivation", counting)
+        return counted
+
+    def test_solve_checks_each_basis_element(self, calls, sl3, sl3_adjoint):
+        space = solve(sl3, sl3_adjoint, F(1))
+        assert len(calls) == space.dimension == 8
+
+    @pytest.mark.parametrize("algebra, module", [
+        ("sl3", "adjoint"), ("sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)"),
+    ])
+    def test_scan_checks_each_kernel_vector(self, calls, algebra, module):
+        # generic nullity 0: every dimension found is made of re-eliminated kernel vectors
+        L, parts = parse_algebra_descriptor(algebra)
+        V, _ = parse_module_descriptor(module, L, parts)
+        report = scan(L, V)
+        assert report.generic_rank == L.dim * V.dim_v
+        assert len(calls) == sum(report.findings.values()) > 0
 
 
 class TestDegenerateInputs:
