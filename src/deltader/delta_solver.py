@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exact_arith import Coeffs, Poly, pdivexact, poly_normalize, poly_rational_roots
+from .exact_arith import Poly, pdivexact, poly_normalize, poly_rational_roots
 from .lie_core import AlgebraMismatch, LieAlgebra, Representation, weight_decomposition
 from .linalg import nullspace_bareiss, pencil_eliminate, rref
 
@@ -50,7 +50,9 @@ class DerivationSystem(NamedTuple):
     ``a_part[r]`` and ``b_part[r]`` map the columns of the nonzero entries
     of row r of A and of B to their coefficients (read-only).  Each row is
     scaled by the lcm of the denominators of its entries in A and B, so the
-    coefficients are integers; scaling a row changes no solution.
+    coefficients are integers; scaling a row changes no solution.  The
+    scan hands the pairs ``(a_part[r], b_part[r])`` to
+    ``linalg.pencil_eliminate`` as they are.
     """
 
     algebra: LieAlgebra
@@ -79,21 +81,6 @@ class DerivationSystem(NamedTuple):
                     row[c] = x
                 else:
                     row.pop(c, None)
-            out.append(row)
-        return out
-
-    def pencil(self, rows, cols) -> list[list[Coeffs]]:
-        """Rows ``rows`` of A + d*B on the columns ``cols``, as dense rows of
-        coefficient tuples (see exact_arith) in the given column order."""
-        local = {c: k for k, c in enumerate(cols)}
-        out = []
-        for r in rows:
-            row = [()] * len(local)
-            for c, a in self.a_part[r].items():
-                row[local[c]] = (a,)
-            for c, b in self.b_part[r].items():
-                k = local[c]
-                row[k] = (row[k][0] if row[k] else 0, b)
             out.append(row)
         return out
 
@@ -420,7 +407,7 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
     drops: dict[Fraction, list[tuple[list[int], list[int], int]]] = {}
     nonrational: set[Poly] = set()
     for rows, cols in _components(system):
-        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
+        pivots, rank = pencil_eliminate([(system.a_part[r], system.b_part[r]) for r in rows], cols)
         generic_rank += rank
         last = poly_normalize(pivots[-1])
         if last.degree < 1:

@@ -11,20 +11,17 @@ basis of a span from two of its calls, and two spans are equal exactly when
 their kernels are.  A dense Gauss-Jordan elimination on Fractions is kept in
 ``tests/oracle.py`` as the independent oracle it is tested against.
 
-``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on a dense
-one-parameter matrix family, recording every pivot polynomial.  Pivots are
-chosen by lowest degree first (ties by column, then row), which keeps the
-degrees of recorded pivots small.  Each entry p is held as the single
-integer p(2^k) (Kronecker substitution).  Every entry it writes is a minor,
-and by Hadamard's inequality on the unit circle the coefficients of a minor
-are at most the square root of the product of its rows' values
-sum_j ||e_j||_1^2; k is chosen so that this bound lies below 2^(k-2).  The
-arithmetic is then that of ZZ[d] on one integer per entry, the degree of an
-entry is its bit length floor-divided by k, and only the recorded pivots are
-turned back into polynomials.  The scan calls it once per connected
-component of its sparse pencil: rank is additive over the blocks of a
-block-diagonal matrix, and each block's last pivot is a maximal minor of
-that block, which vanishes wherever the block's rank drops.
+``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on one block of
+the pencil A + d*B, given as the system's own sparse integer rows (a map of
+A's and a map of B's entries per row), recording every pivot polynomial.
+Pivots are chosen by lowest degree first (ties by column, then row), which
+keeps the degrees of recorded pivots small.  Each entry a + b*d is held as
+the single integer a + (b << k), its value at 2^k (Kronecker substitution),
+with k sized by Hadamard's bound so that the arithmetic is that of ZZ[d] on
+one integer per entry.  The scan calls it once per connected component of
+its sparse pencil: rank is additive over the blocks of a block-diagonal
+matrix, and each block's last pivot is a maximal minor of that block, which
+vanishes wherever the block's rank drops.
 """
 
 from __future__ import annotations
@@ -32,9 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .exact_arith import Coeffs, Poly
+from .exact_arith import Poly
 
 SparseRow = dict[int, Fraction]  # column -> entry; int entries are fine too
+PencilRow = tuple[dict[int, int], dict[int, int]]  # the entries of one row in A and in B
 
 
 def _divide_content(row: dict[int, int]) -> None:
@@ -124,14 +122,6 @@ def rref(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
     return nullspace_bareiss([{c: x for c, x in enumerate(v) if x} for v in kernel], ncols)
 
 
-def _pack(e: Coeffs, k: int) -> int:
-    """The integer e(2^k)."""
-    v = 0
-    for c in reversed(e):
-        v = (v << k) + c
-    return v
-
-
 def _unpack(v: int, k: int) -> Poly:
     """The polynomial p with p(2^k) = v whose coefficients lie in (-2^(k-1), 2^(k-1)]."""
     mask, half, cs = (1 << k) - 1, 1 << (k - 1), []
@@ -144,42 +134,48 @@ def _unpack(v: int, k: int) -> Poly:
     return Poly(cs)
 
 
-def pencil_eliminate(rows: list[list[Coeffs]], ncols: int) -> tuple[list[Poly], int]:
-    """Fraction-free elimination over ZZ[d] on a polynomial matrix.
+def pencil_eliminate(rows: list[PencilRow], cols: list[int]) -> tuple[list[Poly], int]:
+    """Fraction-free elimination over ZZ[d] on rows of a pencil A + d*B.
 
-    Entries are coefficient tuples (see exact_arith).  Returns the recorded
-    pivot polynomials (in pivot order, unnormalized) and the rank over the
-    rational function field.  Pivot selection: minimal degree, ties broken by
-    column then row index, which favors constant pivots and keeps
-    recorded-pivot degrees low.
+    Each row is a pair of ``{column: integer}`` maps, its entries in A and
+    in B (``DerivationSystem.a_part[r], b_part[r]``), and ``cols`` lists
+    the columns in the order the elimination sees them.  Returns the
+    recorded pivot polynomials (in pivot order, unnormalized) and the rank
+    over the rational function field.  Pivot selection: minimal degree,
+    ties broken by column then row index, which favors constant pivots and
+    keeps recorded-pivot degrees low.
 
     Each entry p is held as the single integer p(2^k), a Kronecker
-    substitution.  Evaluation at 2^k is a ring homomorphism, so a Bareiss step
-    ``(piv*x - mult*y) / prev`` is two integer products, a subtraction and an
-    exact integer division; a remainder raises ArithmeticError.  Every entry
-    the elimination produces is a minor of the input.  On the unit circle a
-    minor is at most the product of its rows' l2 norms (Hadamard's
-    inequality), and the squared l2 norm of row i there is at most
-    sum_j ||e_ij||_1^2, its row value; every coefficient of a polynomial is at
+    substitution: a + b*d enters as ``a + (b << k)``.  Evaluation at 2^k is
+    a ring homomorphism, so a Bareiss step ``(piv*x - mult*y) / prev`` is
+    two integer products, a subtraction and an exact integer division; a
+    remainder raises ArithmeticError.  Every entry the elimination produces
+    is a minor of the input.  On the unit circle a minor is at most the
+    product of its rows' l2 norms (Hadamard's inequality), and |a + b*d| is
+    at most |a| + |b| there, so a row's squared l2 norm is at most its row
+    value sum_c (|a_c| + |b_c|)^2; every coefficient of a polynomial is at
     most its maximum on the unit circle.  Row values of nonzero rows are at
     least 1, so every coefficient of every minor is at most sqrt(P), P the
-    product of the ncols largest row values.  With k two more than the bit
-    length of isqrt(P) + 1, every coefficient is below 2^(k-2) in absolute
-    value.  Then p(2^k) is c*2^(k*n) (n = deg p, c the leading coefficient)
-    plus less than 2^(k*n - 1) in absolute value: it is 0 only for p = 0, its
-    bit length lies in [k*n, k*n + k - 1], so the bit length floor-divided by
-    k is exactly the degree the pivot rule compares, and its balanced base-2^k
-    digits are the coefficients of p.  Only the recorded pivots are unpacked.
+    product of the len(cols) largest row values.  With k two more than the
+    bit length of isqrt(P) + 1, every coefficient is below 2^(k-2) in
+    absolute value.  Then p(2^k) is c*2^(k*n) (n = deg p, c the leading
+    coefficient) plus less than 2^(k*n - 1) in absolute value: it is 0 only
+    for p = 0, its bit length lies in [k*n, k*n + k - 1], so the bit length
+    floor-divided by k is exactly the degree the pivot rule compares, and
+    its balanced base-2^k digits are the coefficients of p.  Only the
+    recorded pivots are unpacked.
 
     The Bareiss update writes every nonzero entry of the rows below the
     pivot, and records each row's lowest (degree, column) as it goes, so the
     pivot search is one pass over the rows.
     """
-    values = [sum([sum(map(abs, e)) ** 2 for e in r if e]) for r in rows]
+    ncols = len(cols)
+    values = [sum((abs(a.get(c, 0)) + abs(b.get(c, 0))) ** 2 for c in a.keys() | b.keys())
+              for a, b in rows]
     rows = [r for r, v in zip(rows, values) if v]
     values = sorted(filter(None, values), reverse=True)
     k = (isqrt(prod(values[:ncols])) + 1).bit_length() + 2
-    m = [[_pack(e, k) if e else 0 for e in r] for r in rows]
+    m = [[a.get(c, 0) + (b.get(c, 0) << k) for c in cols] for a, b in rows]
     # keys[i]: (degree, column) of the first lowest-degree entry of row m[i]
     keys = [min([(e.bit_length() // k, c) for c, e in enumerate(row) if e]) for row in m]
     pivot_polys: list[Poly] = []

@@ -623,6 +623,19 @@ class TestGoldenOutputs:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _fresh_python(script, *args):
+    """Run a script in a fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(deltader.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_command_line_leaves_the_classification_out():
+    done = _fresh_python("import sys, deltader.cli; print('deltader.catalog' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_commands_run_without_importing_sympy(tmp_path, probe_json):
     """sympy costs about 0.3 s and 36 MB on import, and dataclasses pulls in inspect,
     ast and dis; the command line needs none of them."""
@@ -638,10 +651,7 @@ def test_commands_run_without_importing_sympy(tmp_path, probe_json):
         "    assert main(['scan', '--input', sys.argv[1]]) == 0\n"
         "print('sympy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
-    src = str(Path(deltader.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _fresh_python(script, str(path))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False False\n"
 

@@ -309,8 +309,7 @@ class TestComponents:
 def _pencil_of(L, V):
     """The pivots and rank of one pencil elimination over the whole system."""
     system = assemble_system(L, V)
-    rows = system.pencil(range(system.rows), range(system.cols))
-    return pencil_eliminate(rows, system.cols)
+    return pencil_eliminate(list(zip(system.a_part, system.b_part)), list(range(system.cols)))
 
 
 def _unimodular(n):
@@ -621,7 +620,7 @@ def _pivot_roots(system):
     roots of its last pivot and those of its earlier pivots."""
     out = []
     for rows, cols in delta_solver._components(system):
-        pivots, rank = pencil_eliminate(system.pencil(rows, cols), len(cols))
+        pivots, rank = pencil_eliminate([(system.a_part[r], system.b_part[r]) for r in rows], cols)
         roots = [set(poly_rational_roots(p)) if p.degree >= 1 else set() for p in pivots]
         out.append((rows, cols, rank, roots[-1], set().union(*roots[:-1])))
     return out

@@ -218,107 +218,121 @@ class TestIntPolynomials:
                 pdivexact(a, ())
 
 
+def _tuples(rows, cols):
+    """Pencil rows as the reference route takes them: dense lists, in the order of
+    ``cols``, of the coefficient tuples of a + b*d."""
+    return [[_ptrim([a.get(c, 0), b.get(c, 0)]) for c in cols] for a, b in rows]
+
+
+def _combine(u, x, v, y):
+    """u*x - v*y for two {column: integer} maps, zeros dropped."""
+    out = {c: u * x.get(c, 0) - v * y.get(c, 0) for c in x.keys() | y.keys()}
+    return {c: z for c, z in out.items() if z}
+
+
 @st.composite
-def polynomial_matrices(draw):
-    """Up to 12 x 6 matrices over ZZ[d], entries of degree 0-3 with coefficients
-    small (many ties and cancellations) or up to +-2^64, with zero rows, rows
-    that are ZZ[d]-combinations of others, and up to four scaled copies of rows,
-    which tie with their originals in the pivot rule, mixed in."""
-    ncols = draw(st.integers(1, 6))
+def pencil_blocks(draw):
+    """Up to 12 rows of A + d*B as ``(a, b)`` pairs of {column: integer} maps, on
+    up to 6 distinct columns listed in any order, some of which no row touches.
+    Coefficients are small (many ties and cancellations) or up to +-2^64.  Empty
+    rows, rows that are integer combinations of others, and up to four scaled
+    copies of rows, which tie with their originals in the pivot rule, are mixed in."""
+    cols = draw(st.lists(st.integers(0, 20), min_size=1, max_size=6, unique=True))
     small = st.integers(-3, 3)
     coeff = draw(st.sampled_from([
         small,
         st.one_of(small, st.sampled_from([2**64, -2**64, 2**64 - 1, 1 - 2**64])),
         st.integers(-2**64, 2**64),
     ]))
-    entry = st.lists(coeff, max_size=4).map(_ptrim)
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=8))
+    part = st.dictionaries(st.sampled_from(cols), coeff.filter(bool))
+    rows = draw(st.lists(st.tuples(part, part), min_size=1, max_size=8))
     for r in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
         if draw(st.booleans()):
-            rows[r] = [()] * ncols
+            rows[r] = ({}, {})
         else:
             a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-            u, v = (draw(st.lists(small, max_size=2).map(_ptrim)) for _ in range(2))
-            rows[r] = [_psub(_pmul(u, x), _pmul(v, y)) for x, y in zip(rows[a], rows[b])]
+            u, v = draw(small), draw(small)
+            rows[r] = tuple(_combine(u, x, v, y) for x, y in zip(rows[a], rows[b]))
     for r in draw(st.lists(st.integers(0, len(rows) - 1), max_size=4)):
-        scale = (draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),)
-        rows.insert(draw(st.integers(0, len(rows))), [_pmul(scale, x) for x in rows[r]])
-    return rows, ncols
+        scale = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        copy = tuple({c: scale * x for c, x in part.items()} for part in rows[r])
+        rows.insert(draw(st.integers(0, len(rows))), copy)
+    return rows, cols
 
 
 class TestPencilAgainstTuples:
     """``pencil_eliminate`` on packed integers against the tuple reference route."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(polynomial_matrices())
+    @given(pencil_blocks())
     def test_same_pivots_and_rank(self, case):
-        rows, ncols = case
-        assert pencil_eliminate(rows, ncols) == tuple_pencil_eliminate(rows, ncols)
+        rows, cols = case
+        want = tuple_pencil_eliminate(_tuples(rows, cols), len(cols))
+        assert pencil_eliminate(rows, cols) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 2**63, 2**64 - 1, 2**64, 2**64 + 1])
     def test_coefficients_at_the_row_norm_bound(self, n):
         # a lone entry's coefficients reach its row norm, which is the bound, or half
         # of it; the second pivot of a diagonal pencil is the product of both row norms
-        for entry in [(n,), (-n,), (-n, 0, n), (0, 0, -n), (n, -n)]:
-            pivots, rank = pencil_eliminate([[entry]], 1)
-            assert rank == 1 and pivots == [Poly(entry)]
-            assert pivots[0].degree == len(entry) - 1
+        for a, b in [(n, 0), (-n, 0), (0, n), (0, -n), (n, -n), (-n, n)]:
+            rows = [({0: a} if a else {}, {0: b} if b else {})]
+            pivots, rank = pencil_eliminate(rows, [0])
+            assert rank == 1 and pivots == [Poly([a, b])]
+            assert pivots[0].degree == int(b != 0)
         for lead in (n, -n):
-            rows = [[(n,), ()], [(), (0, 0, lead)]]
-            pivots, rank = pencil_eliminate(rows, 2)
-            assert rank == 2 and pivots == [Poly([n]), Poly([0, 0, n * lead])]
-            assert pivots == tuple_pencil_eliminate(rows, 2)[0]
-
+            rows = [({0: n}, {}), ({}, {1: lead})]
+            pivots, rank = pencil_eliminate(rows, [0, 1])
+            assert rank == 2 and pivots == [Poly([n]), Poly([0, n * lead])]
+            assert pivots == tuple_pencil_eliminate(_tuples(rows, [0, 1]), 2)[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 2**63, 2**64 - 1, 2**64, 2**64 + 1])
     def test_minors_at_hadamards_bound(self, n):
         # the determinants of these reach Hadamard's bound, the product of the rows'
         # l2 norms, so their coefficients reach sqrt(P), the bound k is sized by
-        rows = [[(n,), (n,)], [(n,), (-n,)]]
-        pivots, rank = pencil_eliminate(rows, 2)
+        rows = [({0: n, 1: n}, {}), ({0: n, 1: -n}, {})]
+        pivots, rank = pencil_eliminate(rows, [0, 1])
         assert rank == 2 and pivots == [Poly([n]), Poly([-2 * n * n])]
-        assert (pivots, rank) == tuple_pencil_eliminate(rows, 2)
+        assert (pivots, rank) == tuple_pencil_eliminate(_tuples(rows, [0, 1]), 2)
         sylvester = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
         for sign in (1, -1):
-            # entry (i, j) is +-n*d^j
-            rows = [[(0,) * j + (sign * h * n,) for j, h in enumerate(row)] for row in sylvester]
-            pivots, rank = pencil_eliminate(rows, 4)
-            assert rank == 4 and pivots[-1].degree == 6
+            # entry (i, j) is +-n in the even columns and +-n*d in the odd ones
+            rows = [tuple({j: sign * h * n for j, h in enumerate(row) if j % 2 == odd}
+                          for odd in (0, 1)) for row in sylvester]
+            pivots, rank = pencil_eliminate(rows, [0, 1, 2, 3])
+            assert rank == 4 and pivots[-1].degree == 2
             assert abs(pivots[-1].coeffs[-1]) == 16 * n**4
-            assert (pivots, rank) == tuple_pencil_eliminate(rows, 4)
+            assert (pivots, rank) == tuple_pencil_eliminate(_tuples(rows, range(4)), 4)
 
 
 class TestPencilEliminate:
     def test_regular_pencil(self):
-        d = (0, 1)
-        one = (1,)
-        rows = [[one, d], [d, one]]
-        pivots, r = pencil_eliminate(rows, 2)
+        # [[1, d], [d, 1]]
+        pivots, r = pencil_eliminate([({0: 1}, {1: 1}), ({1: 1}, {0: 1})], [0, 1])
         assert r == 2
         assert [p.coeffs for p in pivots] == [(F(1),), (F(1), F(0), F(-1))]
 
     def test_identically_singular_pencil(self):
-        d = (0, 1)
-        rows = [[(1,), d], [(2,), (0, 2)]]
-        pivots, r = pencil_eliminate(rows, 2)
+        # [[1, d], [2, 2d]]
+        pivots, r = pencil_eliminate([({0: 1}, {1: 1}), ({0: 2}, {1: 2})], [0, 1])
         assert r == 1
         assert pivots[0].coeffs == (F(1),)
 
     def test_prefers_low_degree_pivots(self):
-        d = (0, 1)
-        rows = [[d, (1,)], [(2, 1), d]]
-        pivots, r = pencil_eliminate(rows, 2)
+        # [[d, 1], [2 + d, d]]
+        pivots, r = pencil_eliminate([({1: 1}, {0: 1}), ({0: 2}, {0: 1, 1: 1})], [0, 1])
         assert r == 2
         # the constant at (row 0, col 1) beats both degree-1 entries in col 0
         assert pivots[0].coeffs == (F(1),)
 
     def test_degree_ties_break_by_column(self):
-        d = (0, 1)
-        rows = [[d, (1,)], [(3,), d]]
-        pivots, r = pencil_eliminate(rows, 2)
+        # [[d, 1], [3, d]]
+        rows = [({1: 1}, {0: 1}), ({0: 3}, {1: 1})]
+        pivots, r = pencil_eliminate(rows, [0, 1])
         assert r == 2
         assert pivots[0].coeffs == (F(3),)
+        # in the order [1, 0] column 1 comes first, and its constant 1 with it
+        assert pencil_eliminate(rows, [1, 0])[0][0].coeffs == (F(1),)
 
     def test_zero_matrix(self):
-        pivots, r = pencil_eliminate([[(), ()], [(), ()]], 2)
+        pivots, r = pencil_eliminate([({}, {}), ({}, {})], [0, 1])
         assert pivots == [] and r == 0
