@@ -135,28 +135,18 @@ def module_from_json(data, algebra: LieAlgebra) -> Representation:
 
 def _display_labels(alg: LieAlgebra) -> list[str]:
     """Basis labels, suffixed with the summand number when there are several."""
-    if len(alg.summand_boundaries) <= 1:
-        return list(alg.basis_labels)
     labels = list(alg.basis_labels)
-    for s, (lo, hi) in enumerate(alg.summand_boundaries, start=1):
-        for a in range(lo, hi):
-            labels[a] = f"{labels[a]}[{s}]"
+    if len(alg.summand_boundaries) > 1:
+        for s, (lo, hi) in enumerate(alg.summand_boundaries, start=1):
+            for a in range(lo, hi):
+                labels[a] = f"{labels[a]}[{s}]"
     return labels
 
 
 def _render_map(D, labels) -> str:
     pieces = []
     for a, row in enumerate(D):
-        terms = []
-        for m, c in enumerate(row):
-            if c == 0:
-                continue
-            if c == 1:
-                terms.append(f"v{m}")
-            elif c == -1:
-                terms.append(f"-v{m}")
-            else:
-                terms.append(f"{c}*v{m}")
+        terms = [{1: "", -1: "-"}.get(c, f"{c}*") + f"v{m}" for m, c in enumerate(row) if c]
         if terms:
             pieces.append(f"{labels[a]} -> " + " + ".join(terms))
     return ", ".join(pieces) if pieces else "0"
@@ -410,6 +400,8 @@ def build_jobspec(argv: list[str]) -> argparse.Namespace:
         job.delta = parse_rational(job.delta)
     if job.command == "verify" and job.max_n < 1:
         raise SemanticError("--max-n must be at least 1")
+    if job.command == "verify":  # sized as sl2 on V(1) o+ ... o+ V(N), of dim N(N + 3)/2
+        _check_work(3, job.max_n * (job.max_n + 3) // 2)
     return job
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .linalg import SparseRow, nullspace_bareiss
@@ -46,7 +47,8 @@ class JacobiViolation(Exception):
     def __init__(self, i: int, j: int, k: int, residual: tuple[Fraction, ...]):
         self.triple = (i, j, k)
         self.residual = residual
-        super().__init__(f"Jacobi identity fails on triple {self.triple}: residual {residual}")
+        super().__init__(f"Jacobi identity fails on triple {self.triple}: "
+                         f"residual ({', '.join(map(str, residual))})")
 
 
 class HomomorphismViolation(Exception):
@@ -103,21 +105,24 @@ class LieAlgebra:
 
 
 def _check_jacobi(alg: LieAlgebra) -> None:
-    """Check every triple i < j < k, expanding through nonzero constants only."""
+    """Check every triple i < j < k on nonzero constants only, in integers: the
+    constants times den, the lcm of their denominators; a residual is over den**2."""
     n = alg.dim
-    table = dict(alg.structure)  # the nonzero terms of [e_a, e_b] for all a != b
+    den = lcm(*(c.denominator for terms in alg.structure.values() for _, c in terms))
+    table = {}  # den times the nonzero terms of [e_a, e_b] for all a != b
     for (i, j), terms in alg.structure.items():
-        table[(j, i)] = tuple((k, -c) for k, c in terms)
+        table[(i, j)] = tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
+        table[(j, i)] = tuple((k, -c) for k, c in table[(i, j)])
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                res: dict[int, Fraction] = {}
+                res: dict[int, int] = {}
                 for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
                     for m, c in table.get((x, y), ()):
                         for t, c2 in table.get((m, z), ()):
                             res[t] = res.get(t, 0) + c * c2
                 if any(res.values()):
-                    residual = tuple(Fraction(res.get(t, 0)) for t in range(n))
+                    residual = tuple(Fraction(res.get(t, 0), den * den) for t in range(n))
                     raise JacobiViolation(i, j, k, residual)
 
 

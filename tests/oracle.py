@@ -6,7 +6,9 @@ shares no code with ``deltader.linalg.nullspace_bareiss``, the package's
 only elimination, and both give the same canonical basis: the reduced row
 echelon form, with pivot entries 1 and zero rows dropped.  ``delta_residual``
 evaluates the defining equation densely, apart from the package's integer
-re-check ``deltader.delta_solver.is_delta_derivation``.
+re-check ``deltader.delta_solver.is_delta_derivation``.  ``jacobi_violation``
+checks the Jacobi identity on Fractions, apart from the package's integer
+check ``deltader.lie_core._check_jacobi``.
 """
 
 from fractions import Fraction
@@ -102,4 +104,24 @@ def delta_residual(D, L, V, delta) -> tuple[int, int, tuple[Fraction, ...]] | No
             residual = tuple(x - y for x, y in zip(lhs, rhs))
             if any(residual):
                 return i, j, residual
+    return None
+
+
+def jacobi_violation(L) -> tuple[tuple[int, int, int], tuple[Fraction, ...]] | None:
+    """The first triple i < j < k where the Jacobi identity fails, with its
+    residual, or None; Fraction arithmetic on the nonzero structure constants."""
+    n = L.dim
+    table = dict(L.structure)  # the nonzero terms of [e_a, e_b] for all a != b
+    for (i, j), terms in L.structure.items():
+        table[(j, i)] = tuple((k, -c) for k, c in terms)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res: dict[int, Fraction] = {}
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, c in table.get((x, y), ()):
+                        for t, c2 in table.get((m, z), ()):
+                            res[t] = res.get(t, 0) + c * c2
+                if any(res.values()):
+                    return (i, j, k), tuple(Fraction(res.get(t, 0)) for t in range(n))
     return None

@@ -52,12 +52,12 @@ def _written_descriptors():
     return pairs
 
 
-def _exit_at_once(*argv):
+def _exit_at_once(*argv, timeout=20):
     """Run the command line in a fresh process under a timeout, because a
     regression runs until killed; returns its exit code, stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(deltader.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-m", "deltader", *argv], env=env,
-                          capture_output=True, text=True, timeout=20)
+                          capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -76,6 +76,18 @@ def test_oversized_json_dims_exit_two_at_once(tmp_path):
     code, out, err = _exit_at_once("scan", "--input", str(path))
     assert code == 2 and out == ""
     assert err == "error: input too large: 1331334000 Jacobi triples exceed the budget of 500000\n"
+
+
+def test_verify_is_sized_before_it_runs():
+    # verify solves sl2 on V(1), ..., V(N): 3 * N(N + 3)/2 unknowns, 60 900 at N = 200
+    code, out, err = _exit_at_once("verify", "--max-n", "200", timeout=1)
+    assert code == 2 and out == ""
+    assert err == "error: input too large: 60900 unknowns exceed the budget of 2500\n"
+    with pytest.raises(SemanticError, match="2580 unknowns"):
+        build_jobspec(["verify", "--max-n", "40"])
+    for max_n in ("8", "39"):  # 39 is the largest that fits: 2 457 unknowns
+        code, out, err = _exit_at_once("verify", "--max-n", max_n)
+        assert code == 0 and err == "" and "\n0 failure(s) out of " in out
 
 
 def test_the_calibration_inputs_fit():

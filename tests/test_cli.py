@@ -454,7 +454,7 @@ class TestDescribeAndRoundTrip:
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "scan", "--input", str(path))
         assert code == 2
-        assert "Jacobi" in err
+        assert err == "error: Jacobi identity fails on triple (0, 1, 2): residual (-1, 0, 0)\n"
 
     def test_input_and_descriptors_conflict(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from deltader.lie_core import (
     AlgebraMismatch,
@@ -8,11 +10,13 @@ from deltader.lie_core import (
     IndexOutOfRange,
     JacobiViolation,
     NotDiagonal,
+    _check_jacobi,
     adjoint_module,
     algebra_from_structure_constants,
     direct_sum_algebras,
     direct_sum_modules,
     invariants,
+    parse_algebra_descriptor,
     representation_from_action,
     sl2,
     sl2_module,
@@ -21,7 +25,7 @@ from deltader.lie_core import (
     trivial_module,
     weight_decomposition,
 )
-from oracle import bracket, canonical_basis, sparse
+from oracle import bracket, canonical_basis, jacobi_violation, rref, sparse
 
 F = Fraction
 
@@ -518,3 +522,84 @@ class TestWeightDecomposition:
     def test_index_out_of_range(self, sl2):
         with pytest.raises(IndexOutOfRange):
             weight_decomposition(sl2, sl2_module(1), 7)
+
+
+# signed rationals with numerators up to 2**64 and denominators up to 10**6
+RATIONALS = st.builds(F, st.integers(-(2**64), 2**64), st.integers(1, 10**6))
+
+
+def jacobi_outcome(L):
+    """The package's integer check, read as the oracle's (triple, residual) or None."""
+    try:
+        _check_jacobi(L)
+    except JacobiViolation as err:
+        assert all(type(c) is Fraction for c in err.residual)
+        return err.triple, err.residual
+    return None
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Sparse structure constants in dims 2-6, most of them failing the identity."""
+    dim = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    terms = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(0, dim - 1), RATIONALS),
+                          max_size=3 * dim))
+    entries = [(i, j, k, c) for (i, j), k, c in terms]
+    return algebra_from_structure_constants(dim, entries, validate=False)
+
+
+def change_of_basis(L, P):
+    """L's structure constants in the basis f_a = sum_b P[a][b] e_b, or None if P is singular."""
+    n = L.dim
+    reduced, pivots = rref([row + unit(n, a) for a, row in enumerate(P)])
+    if pivots != list(range(n)):
+        return None
+    inverse = [row[n:] for row in reduced]
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = [F(0)] * n  # [f_i, f_j] in the old basis
+            for (a, b), terms in L.structure.items():
+                x = P[i][a] * P[j][b] - P[i][b] * P[j][a]
+                for k, c in terms:
+                    v[k] += x * c
+            w = [sum((v[a] * inverse[a][k] for a in range(n)), F(0)) for k in range(n)]
+            entries += [(i, j, k, c) for k, c in enumerate(w) if c]
+    return entries
+
+
+@st.composite
+def rebased_algebras(draw):
+    """sl2, sl3 or sl2 o+ sl2 after a rational change of basis, perhaps with
+    one structure constant perturbed; returns (algebra, perturbed)."""
+    L = parse_algebra_descriptor(draw(st.sampled_from(["sl2", "sl3", "sl2 o+ sl2"])))[0]
+    n = L.dim
+    small = st.builds(F, st.integers(-3, 3), st.integers(1, 5))
+    P = [[draw(small) for _ in range(n)] for _ in range(n)]
+    entries = change_of_basis(L, P)
+    assume(entries is not None)
+    perturbed = draw(st.booleans())
+    if perturbed:
+        i = draw(st.integers(0, n - 2))
+        entries.append((i, draw(st.integers(i + 1, n - 1)), draw(st.integers(0, n - 1)),
+                        draw(RATIONALS.filter(bool))))
+    return algebra_from_structure_constants(n, entries, validate=False), perturbed
+
+
+class TestJacobiAgainstOracle:
+    """The integer Jacobi check against the Fraction one in ``oracle``: the same
+    verdict, the same first failing triple and the same exact residual."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sparse_algebras())
+    def test_sparse_constants(self, L):
+        assert jacobi_outcome(L) == jacobi_violation(L)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rebased_algebras())
+    def test_rebased_algebras_and_one_perturbed_constant(self, case):
+        L, perturbed = case
+        want = jacobi_violation(L)
+        assert perturbed or want is None
+        assert jacobi_outcome(L) == want
