@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exact_arith import Poly, pdivexact, poly_normalize, poly_rational_roots
+from .exact_arith import Poly, poly_normalize, poly_rational_roots, strip_rational_roots
 from .lie_core import AlgebraMismatch, LieAlgebra, Representation, weight_decomposition
 from .linalg import nullspace_bareiss, pencil_eliminate, rref
 
@@ -289,24 +289,6 @@ def inner_derivations(L: LieAlgebra, V: Representation) -> DerivationSpace:
     return _space_from_vectors(L, V, Fraction(1), rref(generators, dim * dim_v))
 
 
-def _strip_rational_roots(p: Poly, roots) -> Poly:
-    """Divide out b*d - s for every root s/b, as often as it divides.
-
-    By Gauss's lemma b*d - s divides the integer polynomial p in ZZ[d]
-    whenever s/b is a root, so exact integer division suffices; a division
-    that leaves a remainder means the root is gone.
-    """
-    cs = p.coeffs
-    for r in roots:
-        factor = (-r.numerator, r.denominator)
-        while len(cs) > 1:
-            try:
-                cs = pdivexact(cs, factor)
-            except ArithmeticError:
-                break
-    return Poly(cs)
-
-
 def _components(system: DerivationSystem) -> list[tuple[list[int], list[int]]]:
     """The connected components of the pencil's row-column incidence graph.
 
@@ -415,7 +397,7 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
         roots = poly_rational_roots(last)
         for d in roots:
             drops.setdefault(d, []).append((rows, cols, rank))
-        residual = _strip_rational_roots(last, roots)
+        residual = strip_rational_roots(last, roots)
         if residual.degree >= 2:
             nonrational.add(residual)
     # The elimination works on untracked integers, so it rarely triggers an
@@ -438,5 +420,5 @@ def scan(L: LieAlgebra, V: Representation, include_zero: bool = False) -> ScanRe
             raise VerificationFailure("closed form at d=0 disagrees with the kernel")
         if dim >= 1:
             findings[delta] = dim
-    factors = tuple(sorted(nonrational, key=lambda q: (q.degree, q.coeffs)))
+    factors = tuple(sorted(nonrational, key=lambda q: (q.degree, q)))
     return ScanReport(findings=findings, nonrational_factors=factors, generic_rank=generic_rank)

@@ -4,14 +4,15 @@ Scalars are ``fractions.Fraction`` values, which are always kept in
 canonical form: positive denominator, reduced, zero as 0/1.  Polynomials
 in ``d`` have integer coefficients: the pivots of the pencil over ZZ[d]
 are integer polynomials, and so is every factor the scan splits off them.
-A polynomial is a trimmed tuple of ints, lowest degree first, with ``()``
-the zero polynomial.  ``Poly`` wraps one for the pivots and the scan's
-report; root isolation and the deflation of found roots work on the raw
-tuples.  The pencil elimination holds its entries as single integers
-instead (see ``linalg.pencil_eliminate``).  Rational roots are found by
-p-adic lifting and rational reconstruction, and each is confirmed by an
-exact integer evaluation; no integer is ever factored.  No floating point
-is used anywhere.
+The one polynomial type is ``Poly``: the tuple of its integer
+coefficients, lowest degree first, trimmed so that ``()`` is the zero
+polynomial.  The helpers take plain tuples, which a ``Poly`` is; a
+``Poly`` is built only for the pencil's pivots, their primitive parts and
+the scan's residuals.  The pencil elimination holds its entries as single
+integers instead (see ``linalg.pencil_eliminate``).  Rational roots are
+found by p-adic lifting and rational reconstruction, and each is confirmed
+by an exact integer evaluation; no integer is ever factored.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -35,17 +36,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-Coeffs = tuple[int, ...]  # trimmed, lowest degree first; () is the zero polynomial
+def pdivexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact division in ZZ[d]; raises ArithmeticError if it leaves a remainder.
 
-
-def _ptrim(cs: list[int]) -> Coeffs:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def pdivexact(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Exact division in ZZ[d]; raises ArithmeticError if it leaves a remainder."""
+    The quotient of trimmed tuples is trimmed: it leads with a[-1] / b[-1].
+    """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -63,64 +58,43 @@ def pdivexact(a: Coeffs, b: Coeffs) -> Coeffs:
                 rem[k + j] -= q * y
     if any(rem):
         raise ArithmeticError("inexact polynomial division")
-    return _ptrim(out)
+    return tuple(out)
 
 
-class Poly:
-    """Univariate polynomial with integer coefficients, lowest degree first.
+class Poly(tuple):
+    """Univariate polynomial with integer coefficients: the tuple of them,
+    lowest degree first.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the
-    leading coefficient is nonzero.  Any other coefficient type is
-    rejected rather than truncated.  Instances are immutable and hashable.
+    Trailing zeros are trimmed, so the zero polynomial is the empty tuple
+    and otherwise the leading coefficient is nonzero.  Any other
+    coefficient type is rejected rather than truncated.  Equality, hashing,
+    truth value and immutability are those of the tuple.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[int] = ()):
+    def __new__(cls, coeffs: Iterable[int] = ()) -> Poly:
         cs = list(coeffs)
         if not all(isinstance(c, int) for c in cs):
             raise TypeError(f"Poly coefficients must be integers, got {cs!r}")
-        object.__setattr__(self, "coeffs", _ptrim(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return super().__new__(cls, cs)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients as a plain tuple."""
+        return tuple(self)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*d")
-            else:
-                terms.append(f"{c}*d^{k}")
-        return " + ".join(terms)
-
-    def __repr__(self) -> str:
-        return f"Poly({list(self.coeffs)!r})"
+        terms = [str(c) if k == 0 else f"{c}*d" if k == 1 else f"{c}*d^{k}"
+                 for k, c in enumerate(self) if c]
+        return " + ".join(terms) or "0"
 
 
 def poly_normalize(p: Poly) -> Poly:
@@ -129,12 +103,12 @@ def poly_normalize(p: Poly) -> Poly:
     The zero polynomial is a fixed point.  Normalization preserves the
     root set and is idempotent.
     """
-    if p.is_zero():
+    if not p:
         return p
-    g = gcd(*p.coeffs)
-    if p.coeffs[-1] < 0:
+    g = gcd(*p)
+    if p[-1] < 0:
         g = -g
-    return Poly([c // g for c in p.coeffs])
+    return Poly([c // g for c in p])
 
 
 def poly_rational_roots(p: Poly) -> list[Fraction]:
@@ -163,11 +137,11 @@ def poly_rational_roots(p: Poly) -> list[Fraction]:
     exactly, and no floating point is used.  The zero polynomial is rejected
     since every value is a root of it.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial: every value is a root")
-    g = gcd(*p.coeffs)
-    low = next(k for k, c in enumerate(p.coeffs) if c)
-    q = tuple(c // g for c in p.coeffs[low:])
+    g = gcd(*p)
+    low = next(k for k, c in enumerate(p) if c)
+    q = tuple(c // g for c in p[low:])
     roots = [Fraction(0)] if low else []
     if len(q) > 1:
         f = pdivexact(q, _gcd_prs(q, _derivative(q)))
@@ -201,18 +175,35 @@ def poly_rational_roots(p: Poly) -> list[Fraction]:
     return sorted(roots, key=lambda r: (r.numerator, r.denominator))
 
 
-def _derivative(a: Coeffs) -> Coeffs:
+def strip_rational_roots(p: Poly, roots: Iterable[Fraction]) -> Poly:
+    """Divide out b*d - s for every root s/b, as often as it divides.
+
+    By Gauss's lemma b*d - s divides the integer polynomial p in ZZ[d]
+    whenever s/b is a root, so exact integer division suffices; a division
+    that leaves a remainder means the root is gone.
+    """
+    for r in roots:
+        factor = (-r.numerator, r.denominator)
+        while len(p) > 1:
+            try:
+                p = pdivexact(p, factor)
+            except ArithmeticError:
+                break
+    return Poly(p)
+
+
+def _derivative(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(k * c for k, c in enumerate(a) if k)
 
 
-def _value_mod(a: Coeffs, x: int, m: int) -> int:
+def _value_mod(a: tuple[int, ...], x: int, m: int) -> int:
     value = 0
     for c in reversed(a):
         value = (value * x + c) % m
     return value
 
 
-def _gcd_prs(a: Coeffs, b: Coeffs) -> Coeffs:
+def _gcd_prs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """A gcd of a and b in ZZ[d], primitive up to sign, for primitive a: a primitive PRS."""
     while b:
         g = gcd(*b)
@@ -223,6 +214,7 @@ def _gcd_prs(a: Coeffs, b: Coeffs) -> Coeffs:
             r = [b[-1] * x for x in r]
             for j, y in enumerate(b):
                 r[shift + j] -= c * y
-            _ptrim(r)
+            while r and not r[-1]:
+                r.pop()
         a, b = b, tuple(r)
     return a

@@ -41,7 +41,7 @@ from typing import NamedTuple
 from .linalg import SparseRow, nullspace_bareiss
 
 
-class JacobiViolation(Exception):
+class JacobiViolation(ValueError):
     """Raised when the Jacobi identity fails on a basis triple."""
 
     def __init__(self, i: int, j: int, k: int, residual: tuple[Fraction, ...]):
@@ -51,7 +51,7 @@ class JacobiViolation(Exception):
                          f"residual ({', '.join(map(str, residual))})")
 
 
-class HomomorphismViolation(Exception):
+class HomomorphismViolation(ValueError):
     """Raised when action matrices fail the bracket relation on a basis pair."""
 
     def __init__(self, i: int, j: int):
@@ -59,15 +59,15 @@ class HomomorphismViolation(Exception):
         super().__init__(f"action matrices violate the bracket relation on pair {self.pair}")
 
 
-class IndexOutOfRange(Exception):
+class IndexOutOfRange(ValueError):
     pass
 
 
-class AlgebraMismatch(Exception):
+class AlgebraMismatch(ValueError):
     pass
 
 
-class NotDiagonal(Exception):
+class NotDiagonal(ValueError):
     pass
 
 
@@ -458,13 +458,13 @@ def weight_decomposition(
 # ---------------------------------------------------------------------------
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
         super().__init__(f"{message} (at position {position})")
 
 
-class SemanticError(Exception):
+class SemanticError(ValueError):
     pass
 
 

@@ -6,12 +6,19 @@ import os
 import shlex
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import deltader
-from deltader.cli import _check_work, _descriptor_dimensions, _load_inputs, build_jobspec
+from deltader.cli import (
+    WORK_BUDGET,
+    _check_work,
+    _descriptor_dimensions,
+    _load_inputs,
+    build_jobspec,
+)
 from deltader.lie_core import (
     ParseError,
     SemanticError,
@@ -78,6 +85,15 @@ def test_oversized_json_dims_exit_two_at_once(tmp_path):
     assert err == "error: input too large: 1331334000 Jacobi triples exceed the budget of 500000\n"
 
 
+def test_deeply_nested_json_exits_two_with_one_line(tmp_path):
+    # json.load recurses once per level and raised RecursionError with a traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = _exit_at_once("scan", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: malformed input: JSON nested too deeply\n"
+
+
 def test_verify_is_sized_before_it_runs():
     # verify solves sl2 on V(1), ..., V(N): 3 * N(N + 3)/2 unknowns, 60 900 at N = 200
     code, out, err = _exit_at_once("verify", "--max-n", "200", timeout=1)
@@ -91,10 +107,21 @@ def test_verify_is_sized_before_it_runs():
 
 
 def test_the_calibration_inputs_fit():
-    _check_work(*_descriptor_dimensions("sl7", "adjoint"))  # 2 304 / 54 144 / 17 296
-    _check_work(*_descriptor_dimensions("sl12", "natural"))  # 1 716 / 121 836 / 477 191
+    _check_work(*_descriptor_dimensions("sl7", "adjoint"))  # 2 304 unknowns / 17 296 triples
+    _check_work(*_descriptor_dimensions("sl12", "natural"))  # 1 716 / 477 191
     with pytest.raises(SemanticError, match="2730 unknowns"):
         _check_work(*_descriptor_dimensions("sl14", "natural"))
+
+
+def test_the_budget_bounds_the_equations_too():
+    # the triples bound admits dim L <= 145, so within the unknowns bound the
+    # C(dim L, 2) * dim V equations number at most 72 * 2 500 = 180 000
+    for dim in range(146):
+        dim_v = WORK_BUDGET["unknowns"] // max(dim, 1)
+        _check_work(dim, dim_v)
+        assert comb(dim, 2) * dim_v <= 180_000
+    with pytest.raises(SemanticError, match="508080 Jacobi triples"):
+        _check_work(146, 0)
 
 
 def _load(argv):

@@ -12,13 +12,8 @@ import pytest
 
 import deltader
 from deltader import delta_solver
-from deltader.cli import (
-    ParseError,
-    SemanticError,
-    main,
-    parse_algebra_descriptor,
-    parse_module_descriptor,
-)
+from deltader.cli import main, parse_algebra_descriptor, parse_module_descriptor
+from deltader.lie_core import ParseError, SemanticError
 
 F = Fraction
 

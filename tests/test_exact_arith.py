@@ -4,15 +4,17 @@ from itertools import product
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deltader import delta_solver, lie_core
 from deltader.exact_arith import (
     Poly,
     parse_rational,
     pdivexact,
     poly_normalize,
     poly_rational_roots,
+    strip_rational_roots,
 )
 
 
@@ -143,11 +145,11 @@ class TestPolyBasics:
     def test_trailing_zeros_trimmed(self):
         assert Poly([1, 2, 0, 0]).coeffs == (1, 2)
         assert all(type(c) is int for c in Poly([1, 2, 0]).coeffs)
-        assert Poly([0, 0]).is_zero()
+        assert not Poly([0, 0]) and Poly([0, 0]) == ()
         assert Poly().degree == -1
 
     def test_rejects_non_integer_coefficients(self):
-        for coeffs in ([Fraction(1, 2)], [1, Fraction(3)], [0.5]):
+        for coeffs in ([Fraction(1, 2)], [1, Fraction(3)], [0.5], [1, 2.0]):
             with pytest.raises(TypeError):
                 Poly(coeffs)
 
@@ -176,10 +178,14 @@ class TestPolyBasics:
 
     def test_immutability_and_hash(self):
         p = Poly([1, 2])
-        with pytest.raises(AttributeError):
-            p.coeffs = ()
+        for name in ("coeffs", "degree", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
         assert hash(Poly([1, 2])) == hash(p)
         assert Poly([1, 2]) == p
+        # a Poly is the tuple of its coefficients; slices are plain tuples
+        assert Poly([1, 2, 0]) == (1, 2) and hash(Poly([1, 2, 0])) == hash((1, 2))
+        assert type(p.coeffs) is tuple and type(p[:1]) is tuple
 
     def test_string_form(self):
         assert str(Poly()) == "0"
@@ -215,7 +221,7 @@ class TestNormalize:
             p = Poly([scale * rng.randint(-10, 10) for _ in range(rng.randint(1, 5))])
             q = poly_normalize(p)
             assert poly_normalize(q) == q
-            if not p.is_zero():
+            if p:
                 assert poly_rational_roots(p) == poly_rational_roots(q)
 
 
@@ -313,3 +319,48 @@ class TestRationalRoots:
         assert roots == divisor_pair_rational_roots(p)
         for r in roots:
             assert value_at(p, r) == 0
+
+
+class TestStripRationalRoots:
+    def test_divides_each_root_out_as_often_as_it_divides(self):
+        p = times([1, 0, 1], [-1, 2], [-1, 2], [0, 1])  # (d^2 + 1)(2d - 1)^2 d
+        assert strip_rational_roots(p, [Fraction(1, 2), Fraction(0)]) == Poly([1, 0, 1])
+        assert strip_rational_roots(p, [Fraction(1, 2)]) == times([1, 0, 1], [0, 1])
+        assert strip_rational_roots(p, [Fraction(3)]) == p
+        assert type(strip_rational_roots(p, [])) is Poly
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+           st.lists(st.tuples(st.fractions(-BOUND, BOUND, max_denominator=BOUND),
+                              st.integers(1, 3)), max_size=3, unique_by=lambda t: t[0]))
+    def test_gives_back_a_rootless_cofactor(self, coeffs, powers):
+        # p * prod (b*d - s)^k with p free of rational roots strips back to p
+        p = Poly(coeffs)
+        assume(p and not poly_rational_roots(p))
+        q = times(p, *([-r.numerator, r.denominator] for r, k in powers for _ in range(k)))
+        assert strip_rational_roots(q, poly_rational_roots(q)) == p
+
+
+def test_the_attributes_the_benchmark_tracer_reads(monkeypatch):
+    # perfbench/tracer.py notes the degree of every pivot pencil_eliminate
+    # returns and the coefficients of every argument of poly_rational_roots
+    pivots, arguments = [], []
+    eliminate, roots = delta_solver.pencil_eliminate, delta_solver.poly_rational_roots
+
+    def spy_eliminate(*args):
+        out = eliminate(*args)
+        pivots.extend(out[0])
+        return out
+
+    def spy_roots(p):
+        arguments.append(p)
+        return roots(p)
+
+    monkeypatch.setattr(delta_solver, "pencil_eliminate", spy_eliminate)
+    monkeypatch.setattr(delta_solver, "poly_rational_roots", spy_roots)
+    L, _ = lie_core.sl_n(3)
+    delta_solver.scan(L, lie_core.adjoint_module(L))
+    assert max(p.degree for p in pivots) >= 1 and arguments
+    assert all(p.degree == len(p.coeffs) - 1 >= 0 for p in pivots)
+    assert all(type(p.coeffs) is tuple and p.coeffs == tuple(p) and p.coeffs[-1]
+               and all(type(c) is int for c in p.coeffs) for p in arguments)
