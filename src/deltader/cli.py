@@ -215,15 +215,6 @@ def _check_work(dim: int, dim_v: int) -> None:
             )
 
 
-def _atom_dimension(atom: lie_core.ModuleAtom, n: int) -> int:
-    """The dimension of a module atom over sl_n."""
-    if atom.kind == "V":
-        return atom.arg + 1
-    if atom.kind == "TRIVIAL":
-        return atom.arg
-    return n if atom.kind == "NATURAL" else n * n - 1
-
-
 def _descriptor_dimensions(algebra: str, module: str) -> tuple[int, int]:
     """dim L and dim V of two descriptors, read from the grammar without building."""
     parts = lie_core.parse_algebra_atoms(algebra)
@@ -233,7 +224,7 @@ def _descriptor_dimensions(algebra: str, module: str) -> tuple[int, int]:
         if len(term) < len(parts):  # 'adjoint' or 'trivial(d)' of the whole algebra
             dim_v += dim if term[0].kind == "ADJOINT" else term[0].arg
         else:
-            dim_v += prod(_atom_dimension(a, p.n) for a, p in zip(term, parts))
+            dim_v += prod(a.dimension(p) for a, p in zip(term, parts))
     return dim, dim_v
 
 
@@ -314,25 +305,23 @@ def run(job: argparse.Namespace) -> int:
             _emit(job, _scan_to_text(report))
         return 0
 
-    if job.command == "describe":
-        payload = {"algebra": algebra_to_json(algebra), "module": module_to_json(module)}
-        if "algebra_descriptor" in meta:
-            payload["algebra"]["descriptor"] = meta["algebra_descriptor"]
-            payload["module"]["descriptor"] = meta["module_descriptor"]
-        if job.fmt == "json":
-            _emit(job, json.dumps(payload, indent=2))
-        else:
-            lines = [
-                f"algebra: {meta.get('algebra_descriptor', '(from file)')}",
-                f"  dim {algebra.dim}, labels {', '.join(algebra.basis_labels)}",
-                f"  summands {[list(b) for b in algebra.summand_boundaries]}",
-                f"module: {meta.get('module_descriptor', '(from file)')}",
-                f"  dim {module.dim_v}",
-            ]
-            _emit(job, "\n".join(lines))
-        return 0
-
-    raise SemanticError(f"unknown command {job.command!r}")
+    # describe, the last of the four commands
+    payload = {"algebra": algebra_to_json(algebra), "module": module_to_json(module)}
+    if "algebra_descriptor" in meta:
+        payload["algebra"]["descriptor"] = meta["algebra_descriptor"]
+        payload["module"]["descriptor"] = meta["module_descriptor"]
+    if job.fmt == "json":
+        _emit(job, json.dumps(payload, indent=2))
+    else:
+        lines = [
+            f"algebra: {meta.get('algebra_descriptor', '(from file)')}",
+            f"  dim {algebra.dim}, labels {', '.join(algebra.basis_labels)}",
+            f"  summands {[list(b) for b in algebra.summand_boundaries]}",
+            f"module: {meta.get('module_descriptor', '(from file)')}",
+            f"  dim {module.dim_v}",
+        ]
+        _emit(job, "\n".join(lines))
+    return 0
 
 
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")

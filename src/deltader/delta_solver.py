@@ -59,7 +59,6 @@ class DerivationSystem(NamedTuple):
     module: Representation
     rows: int
     cols: int
-    pairs: tuple[tuple[int, int], ...]
     a_part: tuple[dict[int, int], ...]  # the constant coefficients
     b_part: tuple[dict[int, int], ...]  # the coefficients of d
 
@@ -157,7 +156,6 @@ def assemble_system(L: LieAlgebra, V: Representation) -> DerivationSystem:
         module=V,
         rows=len(pairs) * dim_v,
         cols=dim * dim_v,
-        pairs=pairs,
         a_part=tuple(a_part),
         b_part=tuple(b_part),
     )

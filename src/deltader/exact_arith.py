@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

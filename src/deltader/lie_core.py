@@ -478,7 +478,7 @@ _TOKEN_RE = re.compile(
       | (?P<OPLUS>oplus|o\+|⊕)
       | (?P<OTIMES>otimes|\(x\)|⊗)
     )""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 
@@ -510,6 +510,14 @@ class ModuleAtom(NamedTuple):
     kind: str  # V, ADJOINT, NATURAL or TRIVIAL
     text: str  # as written
     arg: int | None  # the n of V(n) or the d of trivial(d)
+
+    def dimension(self, part: AlgebraAtom) -> int:
+        """The dimension of this atom as a module of the summand ``part``."""
+        if self.kind == "V":
+            return self.arg + 1
+        if self.kind == "TRIVIAL":
+            return self.arg
+        return part.n if self.kind == "NATURAL" else part.n * part.n - 1
 
 
 def parse_algebra_atoms(text: str) -> list[AlgebraAtom]:

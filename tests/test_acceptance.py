@@ -101,12 +101,12 @@ def test_criterion_1_sl2_classification_table(suite):
         for case in cases:
             fam = expected_family(n, case)
             space = solve(sl2, v[n], fam.delta)
-            good = space.dimension == fam.expected_dim and span_equal(
+            good = space.dimension == len(fam.basis) and span_equal(
                 space.basis, list(fam.basis)
             )
             if not good:
                 ok = False
-                detail = f"n={n} case {case}: dim {space.dimension} != {fam.expected_dim}"
+                detail = f"n={n} case {case}: dim {space.dimension} != {len(fam.basis)}"
     _report("criterion 1: classification table n=1..8", ok, time.time() - t0, 5.0, detail)
 
 

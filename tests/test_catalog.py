@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from deltader import cli, delta_solver
+from deltader import catalog, cli, delta_solver
 from deltader.catalog import (
     CASE_DELTA_ONE,
     CASE_MINUS_TWO_OVER_N,
@@ -61,7 +61,7 @@ class TestExpectedBases:
     def test_family_metadata(self):
         fam = expected_family(4, CASE_MINUS_TWO_OVER_N)
         assert fam.delta == F(-1, 2)
-        assert fam.expected_dim == 7 == len(fam.basis)
+        assert len(fam.basis) == 7
         assert sorted(fam.weights) == [-5, -4, -3, -2, -1, 0, 1]
 
     def test_every_table_entry_satisfies_its_equation(self, sl2, v_modules):
@@ -85,7 +85,7 @@ class TestExpectedBases:
             for case in cases:
                 fam = expected_family(n, case)
                 space = solve(sl2, module, fam.delta)
-                assert space.dimension == fam.expected_dim
+                assert space.dimension == len(fam.basis)
                 assert span_equal(space.basis, list(fam.basis))
 
 
@@ -253,3 +253,47 @@ class TestVerifyAll:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             verify_all(0)
+
+    def test_a_wrong_closed_form_fails_its_own_row_alone(self, monkeypatch, capsys, sl2,
+                                                        v_modules):
+        # verify checks no closed-form map by itself: the span comparison
+        # against the solver's re-checked basis must catch a wrong one
+        real = expected_family
+
+        def perturbed(n, case_tag):
+            fam = real(n, case_tag)
+            if (n, case_tag) != (3, CASE_MINUS_TWO_OVER_N):
+                return fam
+            e_minus, h, e_plus = fam.basis[2]
+            wrong = (e_minus, (h[0] + 1,) + h[1:], e_plus)
+            return fam._replace(basis=fam.basis[:2] + (wrong,) + fam.basis[3:])
+
+        wrong = perturbed(3, CASE_MINUS_TWO_OVER_N)
+        assert not is_delta_derivation(wrong.basis[2], sl2, v_modules[3], wrong.delta)[0]
+        monkeypatch.setattr(catalog, "expected_family", perturbed)
+        report = verify_all(3)
+        assert [c.name for c in report.checks if c.status == "fail"] == [
+            "sl2 V(3) case minus_two_over_n"
+        ]
+        assert cli.main(["verify", "--max-n", "3"]) == 1
+        assert "1 failure(s)" in capsys.readouterr().out
+
+    def test_canonical_bases_are_compared_by_equality(self, monkeypatch):
+        # a solver basis scaled by 2 has the same span but is no longer
+        # canonical: the rows comparing two canonical bases must fail, the
+        # rows comparing with a closed-form family must not
+        real = delta_solver.solve
+
+        def doubled(*args, **kwargs):
+            space = real(*args, **kwargs)
+            basis = tuple(tuple(tuple(2 * x for x in row) for row in D) for D in space.basis)
+            return space._replace(basis=basis)
+
+        monkeypatch.setattr(delta_solver, "solve", doubled)
+        report = verify_all(2)
+        assert [c.name for c in report.checks if c.status == "fail"] == [
+            "sl2 adjoint scan and spans",
+            "sl3 adjoint d=1/2 identity line",
+            "sl3 adjoint d=1 inner derivations",
+            "sl3 natural d=1 inner derivations",
+        ]

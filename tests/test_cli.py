@@ -178,6 +178,20 @@ class TestSolveCommand:
         assert len(data["basis"]) == 6
         assert all(len(D) == 3 and len(D[0]) == 4 for D in data["basis"])
 
+    def test_inner_maps_fill_the_d_one_space_only_when_semisimple(self, capsys, tmp_path):
+        # README, "Notes on the mathematics": one basis element acting on a
+        # 2-dimensional module by [[0, 1], [0, 0]] gives a 2-dimensional
+        # space at d = 1, of which the inner maps span a line
+        data = {"algebra": {"dim": 1, "brackets": []},
+                "module": {"dim": 2, "action": [[["0", "1"], ["0", "0"]]]}}
+        path = tmp_path / "nilpotent.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--delta", "1")
+        assert code == 0 and json.loads(out)["dimension"] == 2
+        algebra = deltader.cli.algebra_from_json(data["algebra"])
+        module = deltader.cli.module_from_json(data["module"], algebra)
+        assert delta_solver.inner_derivations(algebra, module).dimension == 1
+
     def test_grading_element_adds_weights(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -524,6 +538,38 @@ class TestDescribeAndRoundTrip:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "3000" in err
+
+
+class TestAsciiDigits:
+    """Descriptors and rationals take ASCII digits only; other decimal digits
+    are input errors, while the same input in ASCII digits runs."""
+
+    TO_ASCII = str.maketrans("١٢٣", "123")
+
+    def assert_rejected_where_ascii_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, _, err = run_cli(capsys, *(a.translate(self.TO_ASCII) for a in argv))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["describe", "--algebra", "sl٣", "--module", "natural"],
+        ["describe", "--algebra", "sl2", "--module", "V(١) o+ trivial(٢)", "--format", "json"],
+        ["solve", "--algebra", "sl2", "--module", "V(3)", "--delta", "-٢/٣"],
+        ["solve", "--algebra", "sl2", "--module", "V(3)", "--delta", "1/٣"],
+    ], ids=["algebra", "module", "negative-delta", "delta-denominator"])
+    def test_descriptors_and_deltas(self, capsys, argv):
+        self.assert_rejected_where_ascii_runs(capsys, argv)
+
+    def test_json_coefficient(self, capsys, tmp_path):
+        for digit in "١1":  # each file is named by the digit it holds
+            (tmp_path / f"{digit}.json").write_text(json.dumps({
+                "algebra": {"dim": 2, "brackets": [[0, 1, 1, digit]]},
+                "module": {"dim": 1, "action": [[["0"]], [["0"]]]},
+            }))
+        self.assert_rejected_where_ascii_runs(
+            capsys, ["describe", "--input", str(tmp_path / "١.json")])
 
 
 class TestVerifyCommand:

@@ -55,7 +55,6 @@ class TestAssembly:
     def test_system_size(self, sl2):
         system = assemble_system(sl2, sl2_module(1))
         assert (system.rows, system.cols) == (6, 6)
-        assert system.pairs == ((0, 1), (0, 2), (1, 2))
 
     def test_abelian_has_no_constant_part(self):
         abelian = algebra_from_structure_constants(3, [])

@@ -132,7 +132,7 @@ class TestRationalScalars:
         assert str(Fraction(-7)) == "-7"
 
     def test_parse_rejects_non_rationals(self):
-        for text in ["1.5", "3 / 4", "a", "", "1/2/3", "1e3"]:
+        for text in ["1.5", "3 / 4", "a", "", "1/2/3", "1e3", "١", "-٢", "1/٣"]:
             with pytest.raises(ValueError):
                 parse_rational(text)
 
