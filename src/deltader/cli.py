@@ -22,7 +22,7 @@ import sys
 from math import comb, prod
 
 from . import delta_solver, lie_core
-from .exact_arith import parse_rational
+from .exact_arith import parse_integer, parse_rational
 from .lie_core import (
     LieAlgebra,
     Representation,
@@ -69,7 +69,7 @@ def _require(ok: bool, what: str) -> None:
 
 def _integer(x) -> int:
     _require(type(x) is int or isinstance(x, str), f"expected an integer, got {x!r}")
-    return int(x)
+    return parse_integer(str(x))
 
 
 def _dimension(data: dict) -> int:
@@ -361,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--grading-element",
                 dest="grading_element",
-                type=int,
+                type=parse_integer,
                 help="basis index of a diagonal element; tag each basis element "
                 "with its weight under it",
             )
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                with_scan_flags=True)
     add_common(sub.add_parser("describe", help="echo the parsed algebra and module"))
     verify = sub.add_parser("verify", help="replay the classification against the solver")
-    verify.add_argument("--max-n", dest="max_n", type=int, default=4)
+    verify.add_argument("--max-n", dest="max_n", type=parse_integer, default=4)
     verify.add_argument("--output", dest="output_path")
     verify.add_argument("--format", dest="fmt", choices=("json", "table"), default="table")
     return parser

@@ -165,49 +165,38 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
     """Check the defining equation on all basis pairs, by direct evaluation.
 
     Returns (True, None), or (False, (i, j, residual)) for the first pair
-    where the equation fails.  Independent of the elimination code.
-
-    The arithmetic is on integers: with cden, aden and vden the lcms of the
-    denominators of the structure constants, of the action entries and of
-    D's entries, and d = p/q, every residual is evaluated multiplied by
-    q * aden * cden * vden, so it vanishes exactly when the rational one does.
+    where the equation fails.  Independent of the elimination code: besides
+    D it reads only ``L.brackets`` and ``V.columns``, the integer tables L and
+    V built once from their own ``Fraction`` data.  With vden the lcm of the
+    denominators of D's entries and d = p/q, every residual is evaluated
+    multiplied by q * V.den * L.den * vden, so it vanishes exactly when the
+    rational one does.
     """
     delta = Fraction(delta)
     p, q = delta.numerator, delta.denominator
     dim, dim_v = L.dim, V.dim_v
     if len(D) != dim or any(len(row) != dim_v for row in D):
         raise ShapeMismatch(f"map must be {dim} x {dim_v}")
-    cden = lcm(*(c.denominator for terms in L.structure.values() for _, c in terms))
-    aden = lcm(*(x.denominator for rows in V.action for row in rows for x in row.values()))
     vden = lcm(*(x.denominator for row in D for x in row))
-    # structure[(i, j)]: the terms (k, c) of [e_i, e_j], c scaled by q * aden * cden
-    structure = {
-        pair: [(k, q * aden * (cden * c.numerator // c.denominator)) for k, c in terms]
-        for pair, terms in L.structure.items()
-    }
-    # columns[a][m]: the nonzero coordinates (r, x) of d * (e_a . v_m), scaled by q * cden * aden
-    columns = [[[] for _ in range(dim_v)] for _ in range(dim)]
-    for a, rows in enumerate(V.action):
-        for r, row in enumerate(rows):
-            for m, x in row.items():
-                columns[a][m].append((r, p * cden * (aden * x.numerator // x.denominator)))
     images = [
         [(m, vden * x.numerator // x.denominator) for m, x in enumerate(row) if x] for row in D
     ]
+    bracket_images = [[(m, q * V.den * x) for m, x in row] for row in images]
+    action_images = [[(m, p * L.den * x) for m, x in row] for row in images]
     for i in range(dim):
         for j in range(i + 1, dim):
             residual = [0] * dim_v
-            for k, c in structure.get((i, j), ()):
-                for r, x in images[k]:
+            for k, c in L.brackets.get((i, j), ()):
+                for r, x in bracket_images[k]:
                     residual[r] += c * x
-            for m, x in images[i]:  # + d * e_j . D(e_i)
-                for r, y in columns[j][m]:
+            for m, x in action_images[i]:  # + d * e_j . D(e_i)
+                for r, y in V.columns[j][m]:
                     residual[r] += y * x
-            for m, x in images[j]:  # - d * e_i . D(e_j)
-                for r, y in columns[i][m]:
+            for m, x in action_images[j]:  # - d * e_i . D(e_j)
+                for r, y in V.columns[i][m]:
                     residual[r] -= y * x
             if any(residual):
-                scale = q * aden * cden * vden
+                scale = q * V.den * L.den * vden
                 return False, (i, j, tuple(Fraction(x, scale) for x in residual))
     return True, None
 

@@ -23,6 +23,15 @@ from math import gcd, isqrt
 from typing import Iterable
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$", re.ASCII)
+_INTEGER_RE = re.compile(r"^[+-]?\d+$", re.ASCII)
+
+
+def parse_integer(text: str) -> int:
+    """Parse "p" or "-p" in ASCII digits into an int; no underscores or other digits."""
+    text = text.strip()
+    if not _INTEGER_RE.match(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -76,13 +76,23 @@ StructureMap = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 
 
 class LieAlgebra:
-    """An algebra by its sparse structure constants; fields are read-only."""
+    """An algebra by its sparse structure constants; fields are read-only.
 
-    __slots__ = ("dim", "structure", "basis_labels", "summand_boundaries")
+    ``brackets[(a, b)]`` holds the terms (k, den * c) of each nonzero
+    [e_a, e_b], a != b, with ``den`` the lcm of the constants' denominators:
+    the integer table the Jacobi check and the re-check read, built here once."""
+
+    __slots__ = ("dim", "structure", "basis_labels", "summand_boundaries", "den", "brackets")
 
     def __init__(self, dim: int, structure: StructureMap, basis_labels: tuple[str, ...],
                  summand_boundaries: tuple[tuple[int, int], ...]):
-        for name, value in zip(self.__slots__, (dim, structure, basis_labels, summand_boundaries)):
+        den = lcm(*(c.denominator for terms in structure.values() for _, c in terms))
+        brackets = {}
+        for (i, j), terms in structure.items():
+            brackets[(i, j)] = tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
+            brackets[(j, i)] = tuple((k, -c) for k, c in brackets[(i, j)])
+        fields = (dim, structure, basis_labels, summand_boundaries, den, brackets)
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -105,14 +115,9 @@ class LieAlgebra:
 
 
 def _check_jacobi(alg: LieAlgebra) -> None:
-    """Check every triple i < j < k on nonzero constants only, in integers: the
-    constants times den, the lcm of their denominators; a residual is over den**2."""
-    n = alg.dim
-    den = lcm(*(c.denominator for terms in alg.structure.values() for _, c in terms))
-    table = {}  # den times the nonzero terms of [e_a, e_b] for all a != b
-    for (i, j), terms in alg.structure.items():
-        table[(i, j)] = tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
-        table[(j, i)] = tuple((k, -c) for k, c in table[(i, j)])
+    """Check every triple i < j < k on nonzero constants only, in integers: on
+    ``alg.brackets``, the constants times ``alg.den``; a residual is over den**2."""
+    n, table = alg.dim, alg.brackets
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -122,7 +127,7 @@ def _check_jacobi(alg: LieAlgebra) -> None:
                         for t, c2 in table.get((m, z), ()):
                             res[t] = res.get(t, 0) + c * c2
                 if any(res.values()):
-                    residual = tuple(Fraction(res.get(t, 0), den * den) for t in range(n))
+                    residual = tuple(Fraction(res.get(t, 0), alg.den ** 2) for t in range(n))
                     raise JacobiViolation(i, j, k, residual)
 
 
@@ -190,14 +195,22 @@ class Representation:
     """A module of ``algebra``; fields are read-only, equality is identity.
 
     ``action`` holds, per basis element, dim_v rows ``{column: nonzero
-    Fraction}`` (read-only too).
-    """
+    Fraction}`` (read-only too); ``columns[a][m]`` lists the nonzero
+    coordinates (r, den * x) of e_a . v_m, with ``den`` the lcm of their
+    denominators: the integer action the re-check reads, built here once."""
 
-    __slots__ = ("algebra", "dim_v", "action", "weight_labels")
+    __slots__ = ("algebra", "dim_v", "action", "weight_labels", "den", "columns")
 
     def __init__(self, algebra: LieAlgebra, dim_v: int, action: tuple,
                  weight_labels: tuple[int, ...] | None = None):
-        for name, value in zip(self.__slots__, (algebra, dim_v, action, weight_labels)):
+        den = lcm(*(x.denominator for rows in action for row in rows for x in row.values()))
+        columns = [[[] for _ in range(dim_v)] for _ in action]
+        for by_column, rows in zip(columns, action):
+            for r, row in enumerate(rows):
+                for m, x in row.items():
+                    by_column[m].append((r, x.numerator * (den // x.denominator)))
+        fields = (algebra, dim_v, action, weight_labels, den, columns)
+        for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

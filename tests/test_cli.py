@@ -541,16 +541,17 @@ class TestDescribeAndRoundTrip:
 
 
 class TestAsciiDigits:
-    """Descriptors and rationals take ASCII digits only; other decimal digits
-    are input errors, while the same input in ASCII digits runs."""
+    """Descriptors, rationals and integers take ASCII digits only; other decimal
+    digits are input errors, while the same input in ASCII digits runs."""
 
     TO_ASCII = str.maketrans("١٢٣", "123")
 
-    def assert_rejected_where_ascii_runs(self, capsys, argv):
+    def assert_rejected_where_ascii_runs(self, capsys, argv, ascii_argv=None):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        code, _, err = run_cli(capsys, *(a.translate(self.TO_ASCII) for a in argv))
+        ascii_argv = ascii_argv or [a.translate(self.TO_ASCII) for a in argv]
+        code, _, err = run_cli(capsys, *ascii_argv)
         assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("argv", [
@@ -562,14 +563,35 @@ class TestAsciiDigits:
     def test_descriptors_and_deltas(self, capsys, argv):
         self.assert_rejected_where_ascii_runs(capsys, argv)
 
-    def test_json_coefficient(self, capsys, tmp_path):
-        for digit in "١1":  # each file is named by the digit it holds
-            (tmp_path / f"{digit}.json").write_text(json.dumps({
-                "algebra": {"dim": 2, "brackets": [[0, 1, 1, digit]]},
-                "module": {"dim": 1, "action": [[["0"]], [["0"]]]},
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-n", "٢"],
+        ["solve", "--algebra", "sl2", "--module", "V(2)", "--delta", "1",
+         "--grading-element", "١"],
+    ], ids=["max-n", "grading-element"])
+    def test_integer_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exited.value.code == 2 and err.startswith("usage: ")
+        assert f"error: argument {argv[-2]}: invalid" in err and repr(argv[-1]) in err
+        code, _, err = run_cli(capsys, *(a.translate(self.TO_ASCII) for a in argv))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("field, given, ascii", [
+        ("coefficient", "١", "1"), ("dim", "٢", "2"), ("dim", "1_0", "10"),
+    ], ids=["coefficient", "dim", "dim-underscore"])
+    def test_json_input(self, capsys, tmp_path, field, given, ascii):
+        dim = int(ascii) if field == "dim" else 2  # as the ASCII input reads it
+        argvs = []
+        for name, text in (("given", given), ("ascii", ascii)):
+            fields = {"dim": str(dim), "coefficient": "1", field: text}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "algebra": {"dim": fields["dim"], "brackets": [[0, 1, 1, fields["coefficient"]]]},
+                "module": {"dim": 1, "action": [[["0"]]] * dim},
             }))
-        self.assert_rejected_where_ascii_runs(
-            capsys, ["describe", "--input", str(tmp_path / "١.json")])
+            argvs.append(["describe", "--input", str(path)])
+        self.assert_rejected_where_ascii_runs(capsys, *argvs)
 
 
 class TestVerifyCommand:

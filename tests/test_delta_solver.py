@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -500,6 +501,20 @@ class TestIsDeltaDerivation:
     def test_shape_mismatch(self, sl2, v_modules):
         with pytest.raises(ShapeMismatch):
             is_delta_derivation(((F(0),),), sl2, v_modules[1], F(1))
+
+    def test_only_the_maps_denominators_are_cleared_per_call(self, monkeypatch, sl3, sl3_adjoint):
+        # L and V built their integer tables when constructed; a call clears D's alone
+        basis = solve(sl3, sl3_adjoint, F(1)).basis
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return lcm(*args)
+
+        monkeypatch.setattr(delta_solver, "lcm", counting)
+        for D in basis:
+            assert is_delta_derivation(D, sl3, sl3_adjoint, F(1)) == (True, None)
+        assert len(counted) == len(basis) == 8
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deltader.cli import algebra_from_json, module_from_json
 from deltader.lie_core import (
     AlgebraMismatch,
     HomomorphismViolation,
@@ -428,6 +429,34 @@ class TestStoredRows:
         rep = representation_from_action(abelian, [[{1: 3}, {}]], 2)
         assert rep.action == (({1: F(3)}, {}),)
         assert type(rep.action[0][0][1]) is Fraction
+
+    @staticmethod
+    def assert_integer_tables(L, V, cden, aden):
+        """L.brackets and V.columns are the Fraction data times cden and aden."""
+        assert (L.den, V.den) == (cden, aden)
+        for (i, j), terms in L.structure.items():
+            assert L.brackets[(i, j)] == tuple((k, c * cden) for k, c in terms)
+            assert L.brackets[(j, i)] == tuple((k, -c * cden) for k, c in terms)
+        assert len(L.brackets) == 2 * len(L.structure)
+        assert all(type(c) is int for terms in L.brackets.values() for _, c in terms)
+        assert len(V.columns) == L.dim
+        for a, rows in enumerate(V.action):
+            assert len(V.columns[a]) == V.dim_v
+            for m, column in enumerate(V.columns[a]):
+                assert dict(column) == {r: row[m] * aden for r, row in enumerate(rows) if m in row}
+                assert all(type(x) is int for _, x in column)
+
+    def test_integer_tables_scale_the_fractions(self, rescaled_json):
+        L = algebra_from_json(rescaled_json["algebra"])
+        self.assert_integer_tables(L, module_from_json(rescaled_json["module"], L), 2, 6)
+        entries = [(0, 1, 2, F(1, 2)), (0, 2, 1, F(2, 3)), (1, 2, 2, 1)]
+        broken = algebra_from_structure_constants(3, entries, validate=False)
+        with pytest.raises(JacobiViolation):
+            _check_jacobi(broken)
+        self.assert_integer_tables(broken, trivial_module(broken, 2), 6, 1)
+        for dim, dim_v in ((0, 0), (1, 0), (2, 3)):  # lcm() of nothing is 1
+            empty = algebra_from_structure_constants(dim, [])
+            self.assert_integer_tables(empty, trivial_module(empty, dim_v), 1, 1)
 
     def test_constructor_rejects_bad_shapes(self, sl2):
         abelian = algebra_from_structure_constants(1, [])
