@@ -23,7 +23,7 @@ from math import comb, prod
 
 from . import delta_solver, lie_core
 from .exact_arith import parse_integer, parse_rational
-from .lie_core import (
+from .lie_core import (  # the parse_* names are read from here by the tests and perfbench
     LieAlgebra,
     Representation,
     SemanticError,
@@ -215,12 +215,11 @@ def _check_work(dim: int, dim_v: int) -> None:
             )
 
 
-def _descriptor_dimensions(algebra: str, module: str) -> tuple[int, int]:
-    """dim L and dim V of two descriptors, read from the grammar without building."""
-    parts = lie_core.parse_algebra_atoms(algebra)
+def _descriptor_dimensions(parts, terms) -> tuple[int, int]:
+    """dim L and dim V of parsed descriptors, read from their atoms without building."""
     dim = sum(p.n * p.n - 1 for p in parts)
     dim_v = 0
-    for term in lie_core.parse_module_terms(module, parts):
+    for term in terms:
         if len(term) < len(parts):  # 'adjoint' or 'trivial(d)' of the whole algebra
             dim_v += dim if term[0].kind == "ADJOINT" else term[0].arg
         else:
@@ -255,11 +254,12 @@ def _load_inputs(job: argparse.Namespace) -> tuple[LieAlgebra, Representation, d
         return algebra, module, meta
     if job.algebra is None or job.module is None:
         raise SemanticError("both --algebra and --module are required")
-    _check_work(*_descriptor_dimensions(job.algebra, job.module))
-    algebra, parts = parse_algebra_descriptor(job.algebra)
-    module, canonical_module = parse_module_descriptor(job.module, algebra, parts)
+    parts = lie_core.parse_algebra_atoms(job.algebra)
+    terms = lie_core.parse_module_terms(job.module, parts)
+    _check_work(*_descriptor_dimensions(parts, terms))
+    algebra = lie_core.algebra_from_atoms(parts)
+    module, meta["module_descriptor"] = lie_core.module_from_terms(terms, algebra, parts)
     meta["algebra_descriptor"] = " o+ ".join(parts)
-    meta["module_descriptor"] = canonical_module
     return algebra, module, meta
 
 

@@ -18,24 +18,27 @@ Conventions fixed here and relied on by all golden outputs:
 * A module stores the action of each basis element as dim_v sparse rows,
   ``{column: nonzero Fraction}``; ``action_matrix`` is the dense view.
 
-Every constructor validates its result exhaustively (the Jacobi identity
-over all basis triples, the homomorphism identity over all basis pairs).
-Only ``algebra_from_structure_constants`` can skip its check
-(``validate=False``), which the tests use to build broken algebras.
+``algebra_from_structure_constants`` and ``representation_from_action`` are
+the only constructors; each checks its result exhaustively (the Jacobi
+identity over all basis triples, the homomorphism identity over all basis
+pairs), and only the first can skip it (``validate=False``, which the tests
+use to build broken algebras).  Builders compute constants and action rows
+with shared row helpers and check each object they build once: a block sum
+is a module exactly when each block is, and rho (x) I exactly when rho is.
 
 The command line's descriptor grammar lives here too (README, "Command
 line"): ``parse_algebra_atoms`` and ``parse_module_terms`` check a
 descriptor and return its atoms without building anything, which is all
-``catalog.theorem_dimension`` reads; ``parse_algebra_descriptor`` and
-``parse_module_descriptor`` also build the algebra and the module.
+``catalog.theorem_dimension`` reads.  ``algebra_from_atoms`` and
+``module_from_terms`` compile atoms into an ``--input`` file's data, then
+build and check each object once; ``parse_*_descriptor`` parse and build.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import NamedTuple
 
 from .linalg import SparseRow, nullspace_bareiss
@@ -175,20 +178,67 @@ def algebra_from_structure_constants(
     return alg
 
 
-def sl2() -> LieAlgebra:
-    """The rank-1 simple algebra in the basis (e-, h, e+).
+def _sl_basis(n: int) -> tuple[list[dict[tuple[int, int], int]], list[str]]:
+    """slN's basis as nonzero matrix entries, with labels: the units E_ij for
+    i > j (lexicographic), the diagonals H_k = E_kk - E_(k+1)(k+1), then E_ij
+    for i < j.  For n = 2 this is (E21, H1, E12), labelled (e-, h, e+)."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    units = [(i, j) for i in range(n) for j in range(n) if i != j]
+    basis = [{u: 1} for u in units if u[0] > u[1]]
+    basis += [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+    basis += [{u: 1} for u in units if u[0] < u[1]]
+    labels = [f"H{i + 1}" if i == j else f"E{i + 1}{j + 1}" for i, j in map(min, basis)]
+    return basis, ["e-", "h", "e+"] if n == 2 else labels
 
-    [h, e-] = -2 e-, [h, e+] = 2 e+, [e+, e-] = h.
-    """
-    return algebra_from_structure_constants(
-        3,
-        [
-            (0, 1, 0, 2),   # [e-, h] = 2 e-
-            (0, 2, 1, -1),  # [e-, e+] = -h
-            (1, 2, 2, 2),   # [h, e+] = 2 e+
-        ],
-        labels=("e-", "h", "e+"),
-    )
+
+def _sl_data(n: int) -> tuple[int, list, list[str], list[tuple[int, int]]]:
+    """slN as ``algebra_from_structure_constants`` arguments: dimension,
+    constants (i, j, k, c), labels and its one summand."""
+    basis, labels = _sl_basis(n)
+    positions = {min(m): a for a, m in enumerate(basis) if len(m) == 1}
+    h_start, dim = n * (n - 1) // 2, len(basis)
+    entries = []
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            # [X, Y] through E_ij E_kl = (j == k) E_il
+            bracket: dict[tuple[int, int], int] = {}
+            for (i, j), x in basis[a].items():
+                for (k, l), y in basis[b].items():
+                    if j == k:
+                        bracket[(i, l)] = bracket.get((i, l), 0) + x * y
+                    if l == i:
+                        bracket[(k, j)] = bracket.get((k, j), 0) - x * y
+            diagonal = [0] * n
+            for (i, j), x in bracket.items():
+                if i != j:
+                    entries.append((a, b, positions[(i, j)], x))
+                else:
+                    diagonal[i] += x
+            partial = 0
+            for k in range(n - 1):
+                partial += diagonal[k]
+                if partial:
+                    entries.append((a, b, h_start + k, partial))
+    return dim, entries, labels, [(0, dim)]
+
+
+def _sum_data(parts) -> tuple[int, list, list[str], list[tuple[int, int]]]:
+    """Block-concatenate (dim, constants, labels, summands) data; brackets
+    across blocks vanish and the blocks' summands are kept, offset."""
+    dim, entries, labels, boundaries = 0, [], [], []
+    for d, part_entries, part_labels, part_boundaries in parts:
+        entries += [(i + dim, j + dim, k + dim, c) for i, j, k, c in part_entries]
+        labels += part_labels
+        boundaries += [(a + dim, b + dim) for a, b in part_boundaries]
+        dim += d
+    return dim, entries, labels, boundaries
+
+
+def sl2() -> LieAlgebra:
+    """The rank-1 simple algebra, slN for n = 2: in the basis (e-, h, e+),
+    [h, e-] = -2 e-, [h, e+] = 2 e+, [e+, e-] = h."""
+    return algebra_from_structure_constants(*_sl_data(2))
 
 
 class Representation:
@@ -278,18 +328,19 @@ def representation_from_action(
     return rep
 
 
-def sl2_module(n: int) -> Representation:
-    """The irreducible (n+1)-dimensional module of sl2() with basis v_0..v_n.
-
-    e- . v_i = (i+1) v_{i+1},  h . v_i = (n-2i) v_i,  e+ . v_i = (n-i+1) v_{i-1}.
-    """
+def _v_rows(n: int) -> list[list[SparseRow]]:
+    """The action rows of e-, h, e+ on V(n)."""
     if n < 0:
         raise ValueError("highest weight must be nonnegative")
-    d = n + 1
-    lower = [{r - 1: r} if r else {} for r in range(d)]
-    diag = [{r: n - 2 * r} for r in range(d)]
-    upper = [{r + 1: n - r} if r < n else {} for r in range(d)]
-    return representation_from_action(sl2(), [lower, diag, upper], d, weights=range(d))
+    lower = [{r - 1: r} if r else {} for r in range(n + 1)]
+    upper = [{r + 1: n - r} if r < n else {} for r in range(n + 1)]
+    return [lower, [{r: n - 2 * r} for r in range(n + 1)], upper]
+
+
+def _natural_rows(n: int) -> list[list[SparseRow]]:
+    """The action rows of slN's basis on its natural module: the matrices."""
+    return [[{j: x for (i, j), x in m.items() if i == r} for r in range(n)]
+            for m in _sl_basis(n)[0]]
 
 
 def _ad_rows(L: LieAlgebra) -> list[list[SparseRow]]:
@@ -302,6 +353,35 @@ def _ad_rows(L: LieAlgebra) -> list[list[SparseRow]]:
     return rows
 
 
+def _tensor_rows(actions, dims) -> list[list[SparseRow]]:
+    """The action rows of a tensor product over the sum of its factors'
+    algebras: e_a of the s-th acts as I (x) rho_s(e_a) (x) I, row-major."""
+    out = []
+    for s, (action, d) in enumerate(zip(actions, dims)):
+        left, right = prod(dims[:s]), prod(dims[s + 1:])
+        out += [[{(i * d + c) * right + t: x for c, x in row.items()}
+                 for i in range(left) for row in rows for t in range(right)] for rows in action]
+    return out
+
+
+def _block_rows(actions) -> list[list[SparseRow]]:
+    """The block-diagonal action rows of modules over one algebra."""
+    out = [[] for _ in actions[0]]
+    for action in actions:
+        for rows, block in zip(out, action):
+            offset = len(rows)
+            rows.extend({offset + s: x for s, x in row.items()} for row in block)
+    return out
+
+
+def sl2_module(n: int) -> Representation:
+    """The irreducible (n+1)-dimensional module of sl2() with basis v_0..v_n.
+
+    e- . v_i = (i+1) v_{i+1},  h . v_i = (n-2i) v_i,  e+ . v_i = (n-i+1) v_{i-1}.
+    """
+    return representation_from_action(sl2(), _v_rows(n), n + 1, weights=range(n + 1))
+
+
 def adjoint_module(L: LieAlgebra) -> Representation:
     """The algebra acting on itself through ad(x) y = [x, y]."""
     return representation_from_action(L, _ad_rows(L), L.dim)
@@ -312,61 +392,10 @@ def trivial_module(L: LieAlgebra, d: int) -> Representation:
 
 
 def sl_n(n: int) -> tuple[LieAlgebra, Representation]:
-    """The traceless n x n matrices with their natural n-dimensional module.
-
-    Basis order: matrix units E_ij for i > j (lexicographic), then the
-    diagonals H_k = E_kk - E_(k+1)(k+1), then E_ij for i < j.  For n = 2 this
-    is (E21, H1, E12), whose bracket table equals that of sl2() under the
-    identification (e-, h, e+) = (E21, H1, E12).
-    """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    basis: list[dict[tuple[int, int], int]] = []  # nonzero matrix entries
-    labels: list[str] = []
-    positions: dict[tuple[int, int], int] = {}  # off-diagonal unit -> basis index
-
-    def add_units(upper: bool) -> None:
-        for i in range(n):
-            for j in range(n):
-                if i != j and (i < j) == upper:
-                    positions[(i, j)] = len(basis)
-                    basis.append({(i, j): 1})
-                    labels.append(f"E{i + 1}{j + 1}")
-
-    add_units(False)
-    h_start = len(basis)
-    for k in range(n - 1):
-        basis.append({(k, k): 1, (k + 1, k + 1): -1})
-        labels.append(f"H{k + 1}")
-    add_units(True)
-
-    dim = len(basis)
-    entries = []
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            # [X, Y] through E_ij E_kl = (j == k) E_il
-            bracket: dict[tuple[int, int], int] = {}
-            for (i, j), x in basis[a].items():
-                for (k, l), y in basis[b].items():
-                    if j == k:
-                        bracket[(i, l)] = bracket.get((i, l), 0) + x * y
-                    if l == i:
-                        bracket[(k, j)] = bracket.get((k, j), 0) - x * y
-            diagonal = [0] * n
-            for (i, j), x in bracket.items():
-                if i != j:
-                    entries.append((a, b, positions[(i, j)], x))
-                else:
-                    diagonal[i] += x
-            partial = 0
-            for k in range(n - 1):
-                partial += diagonal[k]
-                if partial:
-                    entries.append((a, b, h_start + k, partial))
-    alg = algebra_from_structure_constants(dim, entries, labels=labels)
-    actions = [[{j: x for (i, j), x in m.items() if i == r} for r in range(n)] for m in basis]
-    natural = representation_from_action(alg, actions, n)
-    return alg, natural
+    """The traceless n x n matrices with their natural n-dimensional module,
+    in the basis of ``_sl_basis``; sl_n(2)[0] is sl2()."""
+    alg = algebra_from_structure_constants(*_sl_data(n))
+    return alg, representation_from_action(alg, _natural_rows(n), n)
 
 
 def direct_sum_algebras(parts: list[LieAlgebra]) -> LieAlgebra:
@@ -377,20 +406,9 @@ def direct_sum_algebras(parts: list[LieAlgebra]) -> LieAlgebra:
     """
     if not parts:
         raise ValueError("need at least one summand")
-    entries = []
-    labels: list[str] = []
-    boundaries: list[tuple[int, int]] = []
-    offset = 0
-    for p in parts:
-        for (i, j), terms in p.structure.items():
-            for k, c in terms:
-                entries.append((i + offset, j + offset, k + offset, c))
-        labels.extend(p.basis_labels)
-        boundaries.extend((a + offset, b + offset) for a, b in p.summand_boundaries)
-        offset += p.dim
-    return algebra_from_structure_constants(
-        offset, entries, labels=labels, summand_boundaries=boundaries
-    )
+    return algebra_from_structure_constants(*_sum_data(
+        (p.dim, [(i, j, k, c) for (i, j), terms in p.structure.items() for k, c in terms],
+         p.basis_labels, p.summand_boundaries) for p in parts))
 
 
 def direct_sum_modules(parts: list[Representation]) -> Representation:
@@ -398,20 +416,12 @@ def direct_sum_modules(parts: list[Representation]) -> Representation:
     if not parts:
         raise ValueError("need at least one summand")
     alg = parts[0].algebra
-    for p in parts[1:]:
-        if p.algebra != alg:
-            raise AlgebraMismatch("module summands live over different algebras")
-    actions = []
-    for i in range(alg.dim):
-        rows = []
-        for p in parts:
-            off = len(rows)
-            rows.extend({off + s: x for s, x in row.items()} for row in p.action[i])
-        actions.append(rows)
-    weights = None
-    if all(p.weight_labels is not None for p in parts):
-        weights = [w for p in parts for w in p.weight_labels]
-    return representation_from_action(alg, actions, sum(p.dim_v for p in parts), weights=weights)
+    if any(p.algebra != alg for p in parts[1:]):
+        raise AlgebraMismatch("module summands live over different algebras")
+    labelled = all(p.weight_labels is not None for p in parts)
+    weights = [w for p in parts for w in p.weight_labels] if labelled else None
+    return representation_from_action(alg, _block_rows([p.action for p in parts]),
+                                      sum(p.dim_v for p in parts), weights=weights)
 
 
 def tensor_module(v1: Representation, v2: Representation) -> Representation:
@@ -422,21 +432,8 @@ def tensor_module(v1: Representation, v2: Representation) -> Representation:
     (first factor index, second factor index).
     """
     alg = direct_sum_algebras([v1.algebra, v2.algebra])
-    d1, d2 = v1.dim_v, v2.dim_v
-    actions = [
-        [{s * d2 + r2: x for s, x in row.items()} for row in rows for r2 in range(d2)]
-        for rows in v1.action
-    ]
-    actions += [
-        [{r1 * d2 + s: y for s, y in row.items()} for r1 in range(d1) for row in rows]
-        for rows in v2.action
-    ]
-    return representation_from_action(alg, actions, d1 * d2)
-
-
-def invariants(V: Representation) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis of the joint kernel of all action matrices (the invariants)."""
-    return nullspace_bareiss([row for rows in V.action for row in rows], V.dim_v)
+    actions = _tensor_rows([v1.action, v2.action], [v1.dim_v, v2.dim_v])
+    return representation_from_action(alg, actions, v1.dim_v * v2.dim_v)
 
 
 def weight_decomposition(
@@ -511,12 +508,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class AlgebraAtom(str):
-    """A summand as written, e.g. 'sl3', with its matrix size ``n``; once built,
-    with its algebra (and, for n >= 3, the natural module built with it)."""
+    """A summand as written, e.g. 'sl3', with its matrix size ``n``."""
 
     n: int
-    algebra: LieAlgebra
-    natural: Representation | None = None
 
 
 class ModuleAtom(NamedTuple):
@@ -613,27 +607,45 @@ def parse_module_terms(text: str, parts: list[AlgebraAtom]) -> list[tuple[Module
     return terms
 
 
+def algebra_from_atoms(parts: list[AlgebraAtom]) -> LieAlgebra:
+    """The algebra of parsed summands, built and checked once."""
+    return algebra_from_structure_constants(*_sum_data(_sl_data(p.n) for p in parts))
+
+
+def _atom_rows(atom: ModuleAtom, n: int, algebra: LieAlgebra, lo: int, hi: int):
+    """The action rows of one atom over e_lo .. e_(hi-1), a summand of rank ``n``."""
+    if atom.kind == "V":
+        return _v_rows(atom.arg)
+    if atom.kind == "NATURAL":
+        return _natural_rows(n)
+    if atom.kind == "TRIVIAL":
+        return [[{}] * atom.arg] * (hi - lo)
+    return [[{j - lo: x for j, x in row.items()} for row in rows[lo:hi]]
+            for rows in _ad_rows(algebra)[lo:hi]]
+
+
+def module_from_terms(terms, algebra: LieAlgebra, parts) -> tuple[Representation, str]:
+    """The module of parsed terms over ``algebra_from_atoms(parts)``, built and
+    checked once: a term acts by the Kronecker rows of its factors (one per
+    summand, or one atom over the whole algebra), the terms block-diagonally.
+    Returns the module and the canonical (ASCII) form of its descriptor."""
+    blocks = []
+    for term in terms:
+        spans = algebra.summand_boundaries if len(term) == len(parts) else [(0, algebra.dim)]
+        factors = [_atom_rows(a, p.n, algebra, *span) for a, p, span in zip(term, parts, spans)]
+        dims = [len(rows[0]) for rows in factors]
+        blocks.append(_tensor_rows(factors, dims))
+    only_v = len(parts) == 1 and all(term[0].kind == "V" for term in terms)
+    weights = [w for term in terms for w in range(term[0].arg + 1)] if only_v else None
+    dim_v = sum(len(block[0]) for block in blocks)  # the rows of the first basis element
+    module = representation_from_action(algebra, _block_rows(blocks), dim_v, weights)
+    return module, " o+ ".join(" (x) ".join(atom.text for atom in term) for term in terms)
+
+
 def parse_algebra_descriptor(text: str) -> tuple[LieAlgebra, list[AlgebraAtom]]:
     """Parse and build an algebra expression; returns the algebra and its atoms."""
     parts = parse_algebra_atoms(text)
-    for part in parts:
-        if part.n == 2:
-            part.algebra = sl2()
-        else:
-            part.algebra, part.natural = sl_n(part.n)
-    if len(parts) == 1:
-        return parts[0].algebra, parts
-    return direct_sum_algebras([p.algebra for p in parts]), parts
-
-
-def _module_atom(atom: ModuleAtom, part: AlgebraAtom, algebra: LieAlgebra) -> Representation:
-    if atom.kind == "V":
-        return sl2_module(atom.arg)
-    if atom.kind == "ADJOINT":
-        return adjoint_module(algebra)
-    if atom.kind == "TRIVIAL":
-        return trivial_module(algebra, atom.arg)
-    return part.natural
+    return algebra_from_atoms(parts), parts
 
 
 def parse_module_descriptor(
@@ -641,16 +653,4 @@ def parse_module_descriptor(
 ) -> tuple[Representation, str]:
     """Parse and build a module expression over what ``parse_algebra_descriptor``
     returned; returns the module and the canonical (ASCII) form of the text."""
-    terms = parse_module_terms(text, parts)
-    built = []
-    for term in terms:
-        if len(term) == 1:
-            built.append(_module_atom(term[0], parts[0], algebra))
-            continue
-        factors = [_module_atom(atom, part, part.algebra) for atom, part in zip(term, parts)]
-        module = functools.reduce(tensor_module, factors)
-        if module.algebra != algebra:
-            raise SemanticError("tensor term does not assemble over the given algebra")
-        built.append(module)
-    module = built[0] if len(built) == 1 else direct_sum_modules(built)
-    return module, " o+ ".join(" (x) ".join(atom.text for atom in term) for term in terms)
+    return module_from_terms(parse_module_terms(text, parts), algebra, parts)

@@ -1,10 +1,11 @@
 """Dense reference routines the tests check the package against.
 
 A plain Gauss-Jordan elimination on Fractions (``rref``) and what follows
-from it: the canonical basis of a span, span equality and the kernel.  It
-shares no code with ``deltader.linalg.nullspace_bareiss``, the package's
-only elimination, and both give the same canonical basis: the reduced row
-echelon form, with pivot entries 1 and zero rows dropped.  ``delta_residual``
+from it: the canonical basis of a span, span equality, the kernel and a
+module's invariants.  It shares no code with
+``deltader.linalg.nullspace_bareiss``, the package's only elimination, and
+both give the same canonical basis: the reduced row echelon form, with
+pivot entries 1 and zero rows dropped.  ``delta_residual``
 evaluates the defining equation densely, apart from the package's integer
 re-check ``deltader.delta_solver.is_delta_derivation``.  ``jacobi_violation``
 checks the Jacobi identity on Fractions, apart from the package's integer
@@ -64,6 +65,12 @@ def nullspace_gauss(rows: list[Vec], ncols: int) -> tuple[tuple[Fraction, ...], 
             v[pc] = -reduced[r][f]
         basis.append(v)
     return canonical_basis(basis)
+
+
+def invariants(V) -> tuple[tuple[Fraction, ...], ...]:
+    """Basis of the joint kernel of all action matrices of V (its invariants)."""
+    return nullspace_gauss([row for i in range(len(V.action)) for row in V.action_matrix(i)],
+                           V.dim_v)
 
 
 def bracket(L, i: int, j: int) -> Vec:

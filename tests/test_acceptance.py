@@ -31,7 +31,7 @@ from deltader.delta_solver import (
     solve,
 )
 from deltader.linalg import nullspace_bareiss
-from oracle import nullspace_gauss, spans_equal
+from oracle import invariants, nullspace_gauss, spans_equal
 
 F = Fraction
 
@@ -238,7 +238,7 @@ def test_criterion_6c_tensor_invariants_formula(suite):
     t0 = time.time()
     sl2 = suite["sl2"]
     mods = {n: lie_core.sl2_module(n) for n in range(3)}
-    inv = {n: len(lie_core.invariants(mods[n])) for n in range(3)}
+    inv = {n: len(invariants(mods[n])) for n in range(3)}
     single = {
         (n, d): solve(sl2, mods[n], d).dimension
         for n in range(3)
@@ -328,7 +328,7 @@ def test_criterion_7_inner_derivations_exhaust_delta_one(suite):
     for name, L, V in suite["semisimple_pairs"]:
         space = solve(L, V, F(1))
         inner = inner_derivations(L, V)
-        invariant_dim = len(lie_core.invariants(V))
+        invariant_dim = len(invariants(V))
         good = (
             space.dimension == V.dim_v - invariant_dim
             and inner.dimension == space.dimension

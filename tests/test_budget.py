@@ -106,11 +106,17 @@ def test_verify_is_sized_before_it_runs():
         assert code == 0 and err == "" and "\n0 failure(s) out of " in out
 
 
+def _dimensions(algebra, module):
+    """dim L and dim V of two descriptors, as the command line reads them."""
+    parts = parse_algebra_atoms(algebra)
+    return _descriptor_dimensions(parts, parse_module_terms(module, parts))
+
+
 def test_the_calibration_inputs_fit():
-    _check_work(*_descriptor_dimensions("sl7", "adjoint"))  # 2 304 unknowns / 17 296 triples
-    _check_work(*_descriptor_dimensions("sl12", "natural"))  # 1 716 / 477 191
+    _check_work(*_dimensions("sl7", "adjoint"))  # 2 304 unknowns / 17 296 triples
+    _check_work(*_dimensions("sl12", "natural"))  # 1 716 / 477 191
     with pytest.raises(SemanticError, match="2730 unknowns"):
-        _check_work(*_descriptor_dimensions("sl14", "natural"))
+        _check_work(*_dimensions("sl14", "natural"))
 
 
 def test_the_budget_bounds_the_equations_too():
@@ -153,7 +159,7 @@ def test_test_descriptors_fit_and_count_what_is_built():
     pairs = _written_descriptors()
     assert ("sl4", "adjoint") in pairs and ("sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)") in pairs
     for algebra, module in pairs:
-        dims = _descriptor_dimensions(algebra, module)
+        dims = _dimensions(algebra, module)
         _check_work(*dims)
         L, parts = parse_algebra_descriptor(algebra)
         V, _ = parse_module_descriptor(module, L, parts)

@@ -112,35 +112,57 @@ class TestModuleDescriptors:
         module, _ = self._parse("sl3", "natural")
         assert module.dim_v == 3
 
-    def test_natural_builds_the_matrix_algebra_once(self, capsys, monkeypatch):
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """The dimensions of the algebras and of the modules built while the test runs."""
         from deltader import lie_core
 
-        calls = []
-        real = lie_core.sl_n
-        monkeypatch.setattr(lie_core, "sl_n", lambda n: calls.append(n) or real(n))
+        def counting(real, built, index):
+            return lambda *args, **kwargs: built.append(args[index]) or real(*args, **kwargs)
+
+        algebras, modules = [], []
+        monkeypatch.setattr(lie_core, "algebra_from_structure_constants",
+                            counting(lie_core.algebra_from_structure_constants, algebras, 0))
+        monkeypatch.setattr(lie_core, "representation_from_action",
+                            counting(lie_core.representation_from_action, modules, 2))
+        return algebras, modules
+
+    def test_natural_builds_the_matrix_algebra_once(self, capsys, constructions):
         code, _, _ = run_cli(capsys, "solve", "--algebra", "sl3", "--module", "natural",
                              "--delta", "1")
         assert code == 0
-        assert calls == [3]
+        assert constructions == ([8], [3])
 
-    def test_tensor_summand_algebras_built_once(self, capsys, monkeypatch):
-        from deltader import lie_core
-
-        calls = []
-        real = lie_core.algebra_from_structure_constants
-        monkeypatch.setattr(
-            lie_core, "algebra_from_structure_constants",
-            lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs),
-        )
+    def test_tensor_summand_algebras_built_once(self, capsys, constructions):
         code, out, _ = run_cli(capsys, "scan", "--algebra", "sl2 o+ sl2",
                                "--module", "V(2) (x) V(0) o+ V(0) (x) V(1)")
         assert code == 0
-        # sl2 twice and their sum for the algebra; per tensor term the two
-        # sl2_module algebras and the sum they act on
-        assert len(calls) == 9
+        # the constants and action rows of every summand and factor are
+        # compiled first, then one algebra and one module are built and checked
+        assert constructions == ([6], [5])
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "cb33814cad442553a727b33195a516f4c961c4a6dba6d79e12de00842df7f070"
         )
+
+    @pytest.mark.parametrize("algebra, module", [("sl2", "V(2)"),
+                                                 ("sl2 o+ sl2", "V(1) (x) V(0)")])
+    def test_the_one_check_refuses_a_factor_that_is_no_module(self, capsys, monkeypatch,
+                                                                algebra, module):
+        from deltader import lie_core
+
+        real = lie_core._v_rows
+
+        def corrupted(n):
+            rows = real(n)
+            rows[1][0] = {0: n + 1}  # h . v_0 = (n + 1) v_0 breaks [e-, e+] = -h
+            return rows
+
+        monkeypatch.setattr(lie_core, "_v_rows", corrupted)
+        with pytest.raises(lie_core.HomomorphismViolation):
+            self._parse(algebra, module)
+        code, out, err = run_cli(capsys, "describe", "--algebra", algebra, "--module", module)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: action matrices violate") and err.count("\n") == 1
 
     def test_natural_over_sl2_rejected(self):
         with pytest.raises(SemanticError):
@@ -674,10 +696,28 @@ class TestGoldenOutputs:
              "02158a44854797a5a515d1aa34d8d288f98df057df7bc9b183fe945e570449ef"),
             (("--input", "PROBE"),
              "18378e5be62df98a3c64a4d99986783753514f109b6d07fe2a3ff765bad5ee2d"),
+            # the only form that carries weights
+            (("--algebra", "sl2", "--module", "V(0) o+ V(3)"),
+             "dbd8a0400b3facbe58579b0726a147d5e41ee33d2af2aeeb7d0538ec631ba835"),
+            (("--algebra", "sl2", "--module", "V(1) o+ adjoint"),
+             "a547fe2122d6f2a7a775194ecf8bd181227bde201d0105199d3143c06fa6639a"),
+            (("--algebra", "sl3", "--module", "natural"),
+             "8b85eb066bcb9dbf44e7fe4c8bcc146b93f1aa54b82fe3830b290fd3c141a4b6"),
+            (("--algebra", "sl3", "--module", "adjoint"),
+             "e1547381fa24e5534e61a1bda63f9e22b5fcb4a705a6f98ba3d1bf3fb3f7898c"),
+            (("--algebra", "sl2 o+ sl3", "--module", "V(1) (x) natural o+ adjoint"),
+             "13891bff629a8fc6f3bb3cfbe076c65ccce174d26d465c45cd7a19beda64f931"),
+            (("--algebra", "sl2 o+ sl2", "--module", "trivial(2) o+ V(2) (x) V(1)"),
+             "416a5cddfd2fdf3be16459a9624691c5b2f141167af523195ec546dccb994d5b"),
+            (("--algebra", "sl2 o+ sl2 o+ sl2", "--module", "V(1) (x) V(0) (x) V(2)"),
+             "1400cc737fbfc6fa2cc5d1b1ffe6d5583de6dcae6a8de60e09454e0755253e41"),
+            (("--algebra", "sl2 ⊕ sl2", "--module", "V(1) ⊗ V(2)"),
+             "4669efec86797758dd8f8f1bf5c399a724cb8587f403745c41a30e60e1e970eb"),
         ],
     )
     def test_describe_stdout(self, capsys, tmp_path, probe_json, argv, digest):
-        """The dense action matrices that describe writes from the sparse rows."""
+        """The dense action matrices that describe writes from the sparse rows,
+        for every descriptor form: atoms, sums, tensors of two and three factors."""
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(probe_json()))
         argv = [str(path) if a == "PROBE" else a for a in argv]

@@ -16,7 +16,6 @@ from deltader.lie_core import (
     algebra_from_structure_constants,
     direct_sum_algebras,
     direct_sum_modules,
-    invariants,
     parse_algebra_descriptor,
     representation_from_action,
     sl2,
@@ -26,7 +25,7 @@ from deltader.lie_core import (
     trivial_module,
     weight_decomposition,
 )
-from oracle import bracket, canonical_basis, jacobi_violation, rref, sparse
+from oracle import bracket, canonical_basis, invariants, jacobi_violation, rref, sparse
 
 F = Fraction
 
