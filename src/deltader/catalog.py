@@ -28,7 +28,10 @@ encodes that bookkeeping.  It reads the command line's descriptors
 through the grammar in ``lie_core``, parsed but never built, with the
 atom sizes of ``ModuleAtom.dimension``.  ``verify_all`` replays the table
 of ``expected_family`` against the solver, scans included, and reports
-pass/fail per case.
+pass/fail per case.  It builds its inputs through the command line's
+descriptor compiler (``lie_core.parse_algebra_descriptor`` and
+``parse_module_descriptor``), each algebra once with its modules over it,
+so it checks exactly what the command line builds.
 
 Weight conventions: the solver's grading tags are raw eigenvalue
 differences; for the module above the bookkeeping weight used here is
@@ -251,6 +254,12 @@ def _fmt_findings(findings: dict[Fraction, int]) -> str:
     return "{" + ", ".join(f"{d}: {dim}" for d, dim in findings.items()) + "}"
 
 
+def _build(algebra: str, *modules: str):
+    """An algebra and modules over it, from descriptors, as the command line builds them."""
+    L, parts = lie_core.parse_algebra_descriptor(algebra)
+    return L, *(lie_core.parse_module_descriptor(text, L, parts)[0] for text in modules)
+
+
 def verify_all(max_n: int) -> VerifyReport:
     """Replay the whole classification against the solver, up to max_n.
 
@@ -264,9 +273,8 @@ def verify_all(max_n: int) -> VerifyReport:
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     checks: list[VerifyCheck] = []
-    alg = lie_core.sl2()
-    for n in range(1, max_n + 1):
-        module = lie_core.sl2_module(n)
+    alg, *v_modules, adj = _build("sl2", *(f"V({n})" for n in range(1, max_n + 1)), "adjoint")
+    for n, module in enumerate(v_modules, start=1):
         expected_findings = {}
         for case_tag in (CASE_DELTA_ONE, CASE_MINUS_TWO_OVER_N, CASE_TWO_OVER_N_PLUS_TWO):
             name = f"sl2 V({n}) case {case_tag}"
@@ -295,7 +303,6 @@ def verify_all(max_n: int) -> VerifyReport:
         )
 
     # adjoint module of the rank-1 algebra: the classical special values
-    adj = lie_core.adjoint_module(alg)
     report = delta_solver.scan(alg, adj)
     expected_findings = {Fraction(1): 3, Fraction(-1): 5, Fraction(1, 2): 1}
     ok = report.findings == expected_findings
@@ -309,8 +316,7 @@ def verify_all(max_n: int) -> VerifyReport:
     )
 
     # the smallest simple algebra of rank > 1
-    sl3, natural = lie_core.sl_n(3)
-    sl3_adj = lie_core.adjoint_module(sl3)
+    sl3, natural, sl3_adj = _build("sl3", "natural", "adjoint")
     half = delta_solver.solve(sl3, sl3_adj, Fraction(1, 2))
     ok = half.basis == (identity_derivation(8),)
     checks.append(_check("sl3 adjoint d=1/2 identity line", ok, f"dim {half.dimension}"))
@@ -343,8 +349,7 @@ def verify_all(max_n: int) -> VerifyReport:
 
     # semisimple assembly: two rank-1 summands, mixed tensor module
     g_text, v_text = "sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)"
-    g, parts = lie_core.parse_algebra_descriptor(g_text)
-    module, _ = lie_core.parse_module_descriptor(v_text, g, parts)
+    g, module = _build(g_text, v_text)
     ok = True
     details = []
     for d in (Fraction(1), Fraction(-2), Fraction(-1), Fraction(1, 2)):

@@ -72,7 +72,8 @@ def _integer(x) -> int:
     return parse_integer(str(x))
 
 
-def _dimension(data: dict) -> int:
+def _dimension(data, name: str) -> int:
+    _require(isinstance(data, dict) and "dim" in data, f"'{name}' must be an object with 'dim'")
     dim = _integer(data["dim"])
     _require(dim >= 0, "'dim' must be a nonnegative integer")
     return dim
@@ -85,41 +86,47 @@ def _lists(value, length=None) -> bool:
     )
 
 
-def algebra_from_json(data) -> LieAlgebra:
-    _require(isinstance(data, dict) and "dim" in data, "'algebra' must be an object with 'dim'")
-    dim, labels, summands = _dimension(data), data.get("labels"), data.get("summands")
-    _require(_lists(data.get("brackets"), 4), "'brackets' must be a list of [i, j, k, c] entries")
+def inputs_from_json(data) -> tuple[LieAlgebra, Representation]:
+    """The algebra and module of an ``--input`` file, each rule checked once:
+    the shape (both dimensions, one dim V x dim V matrix per basis element),
+    then the size against ``WORK_BUDGET``, then the entries and the build."""
+    _require(isinstance(data, dict) and "algebra" in data and "module" in data,
+             "the file needs 'algebra' and 'module' entries")
+    alg, mod = data["algebra"], data["module"]
+    dim, dim_v = _dimension(alg, "algebra"), _dimension(mod, "module")
+    action = mod.get("action")
+    _require(isinstance(action, list) and len(action) == dim
+             and all(_lists(m, dim_v) and len(m) == dim_v for m in action),
+             f"'action' must be a list of {dim} matrices of {dim_v} x {dim_v}, "
+             "one per algebra basis element, given as lists of rows")
+    _check_work(dim, dim_v)
+    labels, summands, weights = alg.get("labels"), alg.get("summands"), mod.get("weights")
+    _require(_lists(alg.get("brackets"), 4), "'brackets' must be a list of [i, j, k, c] entries")
     _require(labels is None or isinstance(labels, list) and len(labels) == dim
              and all(isinstance(x, str) for x in labels), f"'labels' must be {dim} strings")
     if summands is not None:
         _require(_lists(summands, 2), "'summands' must be a list of [start, end] pairs")
         summands = [(_integer(a), _integer(b)) for a, b in summands]
-        _require(all(0 <= a <= b <= dim for a, b in summands), "'summands' out of range")
+        cuts = [0] + [b for _, b in summands]
+        _require(summands == list(zip(cuts, cuts[1:])) and cuts[-1] == dim
+                 and all(a < b for a, b in summands),
+                 f"'summands' must be nonempty [start, end] intervals that split 0..{dim} in order")
+    _require(weights is None or isinstance(weights, list) and len(weights) == dim_v
+             and all(type(w) is int for w in weights),
+             f"'weights' must be a list of {dim_v} integers")
     entries = [
         (_integer(i), _integer(j), _integer(k), parse_rational(str(c)))
-        for i, j, k, c in data["brackets"]
+        for i, j, k, c in alg["brackets"]
     ]
-    return lie_core.algebra_from_structure_constants(
+    algebra = lie_core.algebra_from_structure_constants(
         dim, entries, labels=labels, summand_boundaries=summands
     )
-
-
-def module_from_json(data, algebra: LieAlgebra) -> Representation:
-    """The module of a JSON object; its dense action matrices become sparse rows."""
-    _require(isinstance(data, dict) and "dim" in data, "'module' must be an object with 'dim'")
-    dim = _dimension(data)
-    _require(isinstance(data.get("action"), list)
-             and all(_lists(m, dim) and len(m) == dim for m in data["action"]),
-             f"'action' must be a list of {dim} x {dim} matrices given as lists of rows")
-    weights = data.get("weights")
-    _require(weights is None or isinstance(weights, list) and len(weights) == dim
-             and all(type(w) is int for w in weights),
-             f"'weights' must be a list of {dim} integers")
+    # dense action matrices become sparse rows
     actions = [
         [{s: v for s, x in enumerate(row) if (v := parse_rational(str(x)))} for row in m]
-        for m in data["action"]
+        for m in action
     ]
-    return lie_core.representation_from_action(algebra, actions, dim, weights=weights)
+    return algebra, lie_core.representation_from_action(algebra, actions, dim_v, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +236,6 @@ def _descriptor_dimensions(parts, terms) -> tuple[int, int]:
 
 def _load_inputs(job: argparse.Namespace) -> tuple[LieAlgebra, Representation, dict]:
     """Resolve the algebra and module from descriptors or a JSON file."""
-    meta: dict = {}
     if job.input_path is not None:
         if job.algebra is not None or job.module is not None:
             raise SemanticError("give either --input or descriptor flags, not both")
@@ -238,29 +244,16 @@ def _load_inputs(job: argparse.Namespace) -> tuple[LieAlgebra, Representation, d
                 data = json.load(fh)
             except RecursionError:
                 raise SemanticError("malformed input: JSON nested too deeply") from None
-        if not isinstance(data, dict) or "algebra" not in data or "module" not in data:
-            raise SemanticError("input file needs 'algebra' and 'module' entries")
-        # one action per basis element, checked before the Jacobi check's C(dim, 3) triples
-        alg, mod = data["algebra"], data["module"]
-        _require(isinstance(alg, dict) and "dim" in alg, "'algebra' must be an object with 'dim'")
-        dim = _dimension(alg)
-        _require(isinstance(mod, dict) and isinstance(mod.get("action"), list)
-                 and len(mod["action"]) == dim,
-                 f"'action' must be a list of {dim} matrices, one per algebra basis element")
-        _require("dim" in mod, "'module' must be an object with 'dim'")
-        _check_work(dim, _dimension(mod))
-        algebra = algebra_from_json(data["algebra"])
-        module = module_from_json(data["module"], algebra)
-        return algebra, module, meta
+        return (*inputs_from_json(data), {})
     if job.algebra is None or job.module is None:
         raise SemanticError("both --algebra and --module are required")
     parts = lie_core.parse_algebra_atoms(job.algebra)
     terms = lie_core.parse_module_terms(job.module, parts)
     _check_work(*_descriptor_dimensions(parts, terms))
     algebra = lie_core.algebra_from_atoms(parts)
-    module, meta["module_descriptor"] = lie_core.module_from_terms(terms, algebra, parts)
-    meta["algebra_descriptor"] = " o+ ".join(parts)
-    return algebra, module, meta
+    module, module_text = lie_core.module_from_terms(terms, algebra, parts)
+    return algebra, module, {"algebra_descriptor": " o+ ".join(parts),
+                             "module_descriptor": module_text}
 
 
 def _emit(job: argparse.Namespace, text: str) -> None:

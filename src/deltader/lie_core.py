@@ -18,13 +18,13 @@ Conventions fixed here and relied on by all golden outputs:
 * A module stores the action of each basis element as dim_v sparse rows,
   ``{column: nonzero Fraction}``; ``action_matrix`` is the dense view.
 
-``algebra_from_structure_constants`` and ``representation_from_action`` are
-the only constructors; each checks its result exhaustively (the Jacobi
-identity over all basis triples, the homomorphism identity over all basis
-pairs), and only the first can skip it (``validate=False``, which the tests
-use to build broken algebras).  Builders compute constants and action rows
-with shared row helpers and check each object they build once: a block sum
-is a module exactly when each block is, and rho (x) I exactly when rho is.
+Every algebra and module the package builds comes from
+``algebra_from_structure_constants`` or ``representation_from_action``;
+each checks its result exhaustively (the Jacobi identity over all basis
+triples, the homomorphism identity over all basis pairs).  Builders
+compute constants and action rows with shared row helpers and check each
+object they build once: a block sum is a module exactly when each block
+is, and rho (x) I exactly when rho is.
 
 The command line's descriptor grammar lives here too (README, "Command
 line"): ``parse_algebra_atoms`` and ``parse_module_terms`` check a
@@ -139,14 +139,13 @@ def algebra_from_structure_constants(
     entries,
     labels=None,
     summand_boundaries=None,
-    validate: bool = True,
 ) -> LieAlgebra:
     """Build and validate a Lie algebra from sparse structure constants.
 
     ``entries`` is an iterable of (i, j, k, c) with i < j, meaning the
     coefficient of e_k in [e_i, e_j] is c.  Coefficients for a repeated
     (i, j, k) accumulate.  The Jacobi identity is checked on every basis
-    triple unless ``validate`` is False.
+    triple.
     """
     if dim < 0:
         raise ValueError("dimension must be nonnegative")
@@ -173,8 +172,7 @@ def algebra_from_structure_constants(
         basis_labels=tuple(labels),
         summand_boundaries=tuple(tuple(b) for b in summand_boundaries),
     )
-    if validate:
-        _check_jacobi(alg)
+    _check_jacobi(alg)
     return alg
 
 

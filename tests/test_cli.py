@@ -27,6 +27,21 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.fixture
+def constructions(monkeypatch):
+    """The dimensions of the algebras and of the modules built while the test runs."""
+
+    def counting(real, built, index):
+        return lambda *args, **kwargs: built.append(args[index]) or real(*args, **kwargs)
+
+    algebras, modules = [], []
+    monkeypatch.setattr(deltader.lie_core, "algebra_from_structure_constants",
+                        counting(deltader.lie_core.algebra_from_structure_constants, algebras, 0))
+    monkeypatch.setattr(deltader.lie_core, "representation_from_action",
+                        counting(deltader.lie_core.representation_from_action, modules, 2))
+    return algebras, modules
+
+
 class TestAlgebraDescriptors:
     def test_single_atom(self, sl2):
         alg, parts = parse_algebra_descriptor("sl2")
@@ -112,21 +127,6 @@ class TestModuleDescriptors:
         module, _ = self._parse("sl3", "natural")
         assert module.dim_v == 3
 
-    @pytest.fixture
-    def constructions(self, monkeypatch):
-        """The dimensions of the algebras and of the modules built while the test runs."""
-        from deltader import lie_core
-
-        def counting(real, built, index):
-            return lambda *args, **kwargs: built.append(args[index]) or real(*args, **kwargs)
-
-        algebras, modules = [], []
-        monkeypatch.setattr(lie_core, "algebra_from_structure_constants",
-                            counting(lie_core.algebra_from_structure_constants, algebras, 0))
-        monkeypatch.setattr(lie_core, "representation_from_action",
-                            counting(lie_core.representation_from_action, modules, 2))
-        return algebras, modules
-
     def test_natural_builds_the_matrix_algebra_once(self, capsys, constructions):
         code, _, _ = run_cli(capsys, "solve", "--algebra", "sl3", "--module", "natural",
                              "--delta", "1")
@@ -210,8 +210,7 @@ class TestSolveCommand:
         path.write_text(json.dumps(data))
         code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--delta", "1")
         assert code == 0 and json.loads(out)["dimension"] == 2
-        algebra = deltader.cli.algebra_from_json(data["algebra"])
-        module = deltader.cli.module_from_json(data["module"], algebra)
+        algebra, module = deltader.cli.inputs_from_json(data)
         assert delta_solver.inner_derivations(algebra, module).dimension == 1
 
     def test_grading_element_adds_weights(self, capsys):
@@ -521,10 +520,23 @@ class TestDescribeAndRoundTrip:
              "module": {"dim": 1, "action": [[["0"]], [["0"]]]}},
             {"algebra": {"dim": 1, "brackets": []},
              "module": {"dim": 2, "action": [[["0", "1/0"], ["0", "0"]]]}},
+            {"algebra": {"dim": 3, "brackets": [], "summands": [[0, 3], [1, 2]]},
+             "module": {"dim": 1, "action": [[["0"]]] * 3}},
+            {"algebra": {"dim": 3, "brackets": [], "summands": [[0, 1]]},
+             "module": {"dim": 1, "action": [[["0"]]] * 3}},
+            {"algebra": {"dim": 2, "brackets": [], "labels": ["a"]},
+             "module": {"dim": 1, "action": [[["0"]]] * 2}},
+            {"algebra": {"dim": 2, "brackets": [], "labels": ["a", 1]},
+             "module": {"dim": 1, "action": [[["0"]]] * 2}},
+            {"algebra": {"dim": 2, "brackets": [[0, 1, 2, "1"]]},
+             "module": {"dim": 1, "action": [[["0"]]] * 2}},
+            {"algebra": {"dim": 2, "brackets": []}, "module": {"dim": 1, "action": [[["0"]]]}},
         ],
         ids=["brackets-not-a-list", "short-bracket-entry", "action-not-a-list", "top-level-list",
              "top-level-string", "module-dim-mismatch", "ragged-action-row", "module-without-dim",
-             "weights-not-dim-integers", "zero-denominator-bracket", "zero-denominator-action"],
+             "weights-not-dim-integers", "zero-denominator-bracket", "zero-denominator-action",
+             "overlapping-summands", "summands-with-a-gap", "labels-of-the-wrong-length",
+             "label-not-a-string", "bracket-index-out-of-range", "action-count-not-dim"],
     )
     def test_malformed_shapes_are_input_errors(self, capsys, tmp_path, payload):
         path = tmp_path / "shape.json"
@@ -631,6 +643,13 @@ class TestVerifyCommand:
     def test_bad_bound(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-n", "0")
         assert code == 2
+
+    def test_builds_each_algebra_once_through_the_descriptor_compiler(self, capsys,
+                                                                      constructions):
+        code, _, _ = run_cli(capsys, "verify", "--max-n", "8")
+        assert code == 0
+        # sl2 with V(1) .. V(8) and adjoint, sl3 with natural and adjoint, sl2 o+ sl2
+        assert constructions == ([3, 8, 6], [2, 3, 4, 5, 6, 7, 8, 9, 3, 3, 8, 5])
 
 
 class TestGoldenOutputs:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from deltader import delta_solver
 from deltader.cli import (
-    algebra_from_json,
-    module_from_json,
+    inputs_from_json,
     parse_algebra_descriptor,
     parse_module_descriptor,
 )
@@ -527,8 +526,7 @@ class TestIsDeltaDerivation:
     def test_integer_recheck_matches_dense_evaluation(self, rescaled_json, d0, d, t, entry, bump):
         # a basis map of the rescaled sl2 V(2) at d0, one entry moved by bump
         # (possibly 0), checked at d0 or at d
-        L = algebra_from_json(rescaled_json["algebra"])
-        V = module_from_json(rescaled_json["module"], L)
+        L, V = inputs_from_json(rescaled_json)
         basis = solve(L, V, d0).basis
         D = [list(row) for row in basis[t % len(basis)]]
         D[entry // 3][entry % 3] += bump

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltader.cli import algebra_from_json, module_from_json
+from deltader.cli import inputs_from_json
 from deltader.lie_core import (
     AlgebraMismatch,
     HomomorphismViolation,
     IndexOutOfRange,
     JacobiViolation,
+    LieAlgebra,
     NotDiagonal,
     _check_jacobi,
     adjoint_module,
@@ -28,6 +29,18 @@ from deltader.lie_core import (
 from oracle import bracket, canonical_basis, invariants, jacobi_violation, rref, sparse
 
 F = Fraction
+
+
+def unchecked_algebra(dim, entries):
+    """The algebra of constants (i, j, k, c), i < j, built by ``LieAlgebra``
+    itself and so never Jacobi-checked; constants of one (i, j, k) accumulate."""
+    acc = {}
+    for i, j, k, c in entries:
+        terms = acc.setdefault((i, j), {})
+        terms[k] = terms.get(k, 0) + F(c)
+    structure = {key: nonzero for key, terms in sorted(acc.items())
+                 if (nonzero := tuple((k, c) for k, c in sorted(terms.items()) if c))}
+    return LieAlgebra(dim, structure, tuple(f"x{i}" for i in range(dim)), ((0, dim),))
 
 
 def mat_mul(a, b):
@@ -172,7 +185,7 @@ class TestStructureConstantConstruction:
         for t in (40, 7):
             i, j, k, c = entries[t]
             entries[t] = (i, j, k, 2 * c)
-        broken = algebra_from_structure_constants(15, entries, validate=False)
+        broken = unchecked_algebra(15, entries)
         failing = []
         for i in range(15):
             for j in range(i + 1, 15):
@@ -204,10 +217,11 @@ class TestStructureConstantConstruction:
         alg = algebra_from_structure_constants(2, [(0, 1, 0, 1), (0, 1, 0, -1)])
         assert alg.structure == {}
 
-    def test_validation_can_be_skipped(self):
+    def test_only_the_builder_checks_the_identity(self):
         entries = [(0, 1, 0, 1), (1, 2, 2, 1), (0, 2, 0, 1)]
-        alg = algebra_from_structure_constants(3, entries, validate=False)
-        assert alg.dim == 3  # constructed despite the broken identity
+        assert unchecked_algebra(3, entries).dim == 3  # LieAlgebra itself checks nothing
+        with pytest.raises(JacobiViolation):
+            algebra_from_structure_constants(3, entries)
 
 
 class TestSlN:
@@ -446,10 +460,9 @@ class TestStoredRows:
                 assert all(type(x) is int for _, x in column)
 
     def test_integer_tables_scale_the_fractions(self, rescaled_json):
-        L = algebra_from_json(rescaled_json["algebra"])
-        self.assert_integer_tables(L, module_from_json(rescaled_json["module"], L), 2, 6)
+        self.assert_integer_tables(*inputs_from_json(rescaled_json), 2, 6)
         entries = [(0, 1, 2, F(1, 2)), (0, 2, 1, F(2, 3)), (1, 2, 2, 1)]
-        broken = algebra_from_structure_constants(3, entries, validate=False)
+        broken = unchecked_algebra(3, entries)
         with pytest.raises(JacobiViolation):
             _check_jacobi(broken)
         self.assert_integer_tables(broken, trivial_module(broken, 2), 6, 1)
@@ -574,7 +587,7 @@ def sparse_algebras(draw):
     terms = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(0, dim - 1), RATIONALS),
                           max_size=3 * dim))
     entries = [(i, j, k, c) for (i, j), k, c in terms]
-    return algebra_from_structure_constants(dim, entries, validate=False)
+    return unchecked_algebra(dim, entries)
 
 
 def change_of_basis(L, P):
@@ -612,7 +625,7 @@ def rebased_algebras(draw):
         i = draw(st.integers(0, n - 2))
         entries.append((i, draw(st.integers(i + 1, n - 1)), draw(st.integers(0, n - 1)),
                         draw(RATIONALS.filter(bool))))
-    return algebra_from_structure_constants(n, entries, validate=False), perturbed
+    return unchecked_algebra(n, entries), perturbed
 
 
 class TestJacobiAgainstOracle:
