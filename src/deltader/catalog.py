@@ -23,15 +23,17 @@ module, the nonzero spaces and their explicit bases are:
 
 For a semisimple algebra (a direct sum of simple summands) with a module
 split into irreducibles, each carried by exactly one summand, the total
-dimension at each d assembles summand by summand; ``theorem_dimension``
-encodes that bookkeeping.  It reads the command line's descriptors
-through the grammar in ``lie_core``, parsed but never built, with the
-atom sizes of ``ModuleAtom.dimension``.  ``verify_all`` replays the table
-of ``expected_family`` against the solver, scans included, and reports
-pass/fail per case.  It builds its inputs through the command line's
-descriptor compiler (``lie_core.parse_algebra_descriptor`` and
-``parse_module_descriptor``), each algebra once with its modules over it,
-so it checks exactly what the command line builds.
+dimension at each d assembles summand by summand; ``theorem_findings``
+states that prediction once, as the nonzero dimensions by d.  It reads
+the command line's descriptors through the grammar in ``lie_core``,
+parsed but never built, with the atom sizes of ``ModuleAtom.dimension``.
+``verify_all`` replays the table of ``expected_family`` against the
+solver, compares every scan with ``theorem_findings`` of the same
+descriptors, and reports pass/fail per case.  It builds its inputs
+through the command line's descriptor compiler
+(``lie_core.parse_algebra_descriptor`` and ``parse_module_descriptor``),
+each algebra once with its modules over it, so it checks exactly what
+the command line builds.
 
 Weight conventions: the solver's grading tags are raw eigenvalue
 differences; for the module above the bookkeeping weight used here is
@@ -168,8 +170,8 @@ def span_equal(b1, b2) -> bool:
     return kernel(b1) == kernel(b2)
 
 
-def theorem_dimension(algebra: str, module: str, delta) -> int:
-    """Predicted dimension for a semisimple algebra and a split module.
+def theorem_findings(algebra: str, module: str) -> dict[Fraction, int]:
+    """The nonzero dimensions the theorem predicts, in ascending d.
 
     ``algebra`` and ``module`` are descriptors as ``--algebra`` and
     ``--module`` take them.  They are parsed by the command line's grammar
@@ -178,9 +180,10 @@ def theorem_dimension(algebra: str, module: str, delta) -> int:
     tensor term is an irreducible module of one summand, trivial on the
     others, times the product of its trivial(d) factors; 'adjoint' of a
     direct sum is the adjoint module of each summand.  A term nontrivial on
-    two summands is beyond this bookkeeping and raises ValueError.
+    two summands is beyond this bookkeeping and raises ValueError.  Each
+    part counts at 1, at 1/2, and over sl2, as V(n), at -2/n and 2/(n+2);
+    no other d has a nonzero space.
     """
-    delta = Fraction(delta)
     summands = lie_core.parse_algebra_atoms(algebra)
     parts = []  # (summand, atom, copies) for each nontrivial irreducible part
     for term in lie_core.parse_module_terms(module, summands):
@@ -194,22 +197,23 @@ def theorem_dimension(algebra: str, module: str, delta) -> int:
             raise ValueError(f"{text!r} is nontrivial on {len(nontrivial)} summands")
         copies = prod(a.arg for a in term if a.kind == "TRIVIAL")
         parts += [(s, a, copies) for s, a in nontrivial]
-    total = 0
+    totals: dict[Fraction, int] = {}
     for s, atom, copies in parts:
         size = atom.dimension(s)
         n = size - 1 if s.n == 2 else None  # over sl2 it is V(n), the adjoint module V(2)
-        if delta == 1:
-            count = size
-        elif delta == Fraction(1, 2):
-            count = int(atom.kind == "ADJOINT" or n == 2)
-        elif n and delta == Fraction(-2, n):
-            count = n + 3
-        elif n and n >= 3 and delta == Fraction(2, n + 2):
-            count = n - 1
-        else:
-            count = 0
-        total += copies * count
-    return total
+        counts = {Fraction(1): size, Fraction(1, 2): int(atom.kind == "ADJOINT" or n == 2)}
+        if n:
+            counts[Fraction(-2, n)] = n + 3
+        if n and n >= 3:
+            counts[Fraction(2, n + 2)] = n - 1
+        for delta, count in counts.items():
+            totals[delta] = totals.get(delta, 0) + copies * count
+    return {delta: totals[delta] for delta in sorted(totals) if totals[delta]}
+
+
+def theorem_dimension(algebra: str, module: str, delta) -> int:
+    """Predicted dimension at one ``delta``: ``theorem_findings``, or 0 off it."""
+    return theorem_findings(algebra, module).get(Fraction(delta), 0)
 
 
 class VerifyCheck(NamedTuple):
@@ -250,8 +254,15 @@ def _check(name: str, ok: bool, detail: str) -> VerifyCheck:
     return VerifyCheck(name, "pass" if ok else "fail", detail)
 
 
-def _fmt_findings(findings: dict[Fraction, int]) -> str:
-    return "{" + ", ".join(f"{d}: {dim}" for d, dim in findings.items()) + "}"
+def _scan_row(L, V, algebra: str, module: str) -> VerifyCheck:
+    """Scan ``V`` over ``L``, built from the descriptors, against ``theorem_findings``."""
+    report = delta_solver.scan(L, V)
+    found = ", ".join(f"{d}: {dim}" for d, dim in report.findings.items())
+    return _check(
+        f"{algebra} {module} scan",
+        report.findings == theorem_findings(algebra, module) and not report.nonrational_factors,
+        f"found {{{found}}}, {len(report.nonrational_factors)} unresolved factor(s)",
+    )
 
 
 def _build(algebra: str, *modules: str):
@@ -266,23 +277,22 @@ def verify_all(max_n: int) -> VerifyReport:
     Each row compares the solver with the closed-form tables above: a
     family by dimension and exact span (and, where the table fixes them,
     grading weights), two canonical bases by plain equality, and a scan
-    with the families just checked.  The solver re-checks every basis
-    element it returns, so a family of the same span needs no check of
-    its own.  Failures never raise; they become report entries.
+    with ``theorem_findings`` of the same descriptors.  The solver
+    re-checks every basis element it returns, so a family of the same span
+    needs no check of its own.  Failures never raise; they become report
+    entries.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     checks: list[VerifyCheck] = []
     alg, *v_modules, adj = _build("sl2", *(f"V({n})" for n in range(1, max_n + 1)), "adjoint")
     for n, module in enumerate(v_modules, start=1):
-        expected_findings = {}
         for case_tag in (CASE_DELTA_ONE, CASE_MINUS_TWO_OVER_N, CASE_TWO_OVER_N_PLUS_TWO):
             name = f"sl2 V({n}) case {case_tag}"
             if case_tag == CASE_TWO_OVER_N_PLUS_TWO and n < 2:
                 checks.append(VerifyCheck(name, "skip", "requires n >= 2"))
                 continue
             family = expected_family(n, case_tag)
-            expected_findings[family.delta] = len(family.basis)
             space = delta_solver.solve(alg, module, family.delta, use_grading=1)
             ok = space.dimension == len(family.basis) and span_equal(space.basis, family.basis)
             detail = f"d={family.delta}, dim {space.dimension} (expected {len(family.basis)})"
@@ -291,29 +301,17 @@ def verify_all(max_n: int) -> VerifyReport:
                 ok = ok and got == sorted(Fraction(w) for w in family.weights)
                 detail += ", weights checked"
             checks.append(_check(name, ok, detail))
-        report = delta_solver.scan(alg, module)
-        ok = report.findings == expected_findings and not report.nonrational_factors
-        checks.append(
-            _check(
-                f"sl2 V({n}) scan",
-                ok,
-                f"found {_fmt_findings(report.findings)}, "
-                f"{len(report.nonrational_factors)} unresolved factor(s)",
-            )
-        )
+        checks.append(_scan_row(alg, module, "sl2", f"V({n})"))
 
-    # adjoint module of the rank-1 algebra: the classical special values
-    report = delta_solver.scan(alg, adj)
-    expected_findings = {Fraction(1): 3, Fraction(-1): 5, Fraction(1, 2): 1}
-    ok = report.findings == expected_findings
+    # adjoint module of the rank-1 algebra: the identity line and the n = 2 family
     half = delta_solver.solve(alg, adj, Fraction(1, 2))
-    ok = ok and half.basis == (identity_derivation(3),)
+    ok = half.basis == (identity_derivation(3),)
+    checks.append(_check("sl2 adjoint d=1/2 identity line", ok, f"dim {half.dimension}"))
     minus_one = delta_solver.solve(alg, adj, Fraction(-1))
     expected_adj = [v2_map_to_adjoint(D) for D in expected_family(2, CASE_MINUS_TWO_OVER_N).basis]
-    ok = ok and span_equal(minus_one.basis, expected_adj)
-    checks.append(
-        _check("sl2 adjoint scan and spans", ok, f"found {_fmt_findings(report.findings)}")
-    )
+    ok = span_equal(minus_one.basis, expected_adj)
+    checks.append(_check("sl2 adjoint d=-1 family span", ok, f"dim {minus_one.dimension}"))
+    checks.append(_scan_row(alg, adj, "sl2", "adjoint"))
 
     # the smallest simple algebra of rank > 1
     sl3, natural, sl3_adj = _build("sl3", "natural", "adjoint")
@@ -325,40 +323,25 @@ def verify_all(max_n: int) -> VerifyReport:
     inner = delta_solver.inner_derivations(sl3, sl3_adj)
     ok = ones.dimension == 8 and ones.basis == inner.basis
     checks.append(_check("sl3 adjoint d=1 inner derivations", ok, f"dim {ones.dimension}"))
+    checks.append(_scan_row(sl3, sl3_adj, "sl3", "adjoint"))
 
-    report = delta_solver.scan(sl3, sl3_adj)
-    expected_findings = {Fraction(1): 8, Fraction(1, 2): 1}
-    ok = report.findings == expected_findings
-    checks.append(_check("sl3 adjoint scan", ok, f"found {_fmt_findings(report.findings)}"))
-
-    dims = {}
-    for d in (Fraction(1, 2), Fraction(-1), Fraction(-2, 3), Fraction(2, 5)):
-        dims[d] = delta_solver.solve(sl3, natural, d).dimension
-    ok = all(v == 0 for v in dims.values())
-    checks.append(
-        _check(
-            "sl3 natural exceptional values",
-            ok,
-            "dims " + ", ".join(f"{d}: {v}" for d, v in dims.items()),
-        )
-    )
     ones = delta_solver.solve(sl3, natural, Fraction(1))
     inner = delta_solver.inner_derivations(sl3, natural)
     ok = ones.dimension == 3 and ones.basis == inner.basis
     checks.append(_check("sl3 natural d=1 inner derivations", ok, f"dim {ones.dimension}"))
+    checks.append(_scan_row(sl3, natural, "sl3", "natural"))
 
     # semisimple assembly: two rank-1 summands, mixed tensor module
     g_text, v_text = "sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)"
     g, module = _build(g_text, v_text)
-    ok = True
-    details = []
-    for d in (Fraction(1), Fraction(-2), Fraction(-1), Fraction(1, 2)):
-        got = delta_solver.solve(g, module, d).dimension
-        want = theorem_dimension(g_text, v_text, d)
-        details.append(f"{d}: {got}/{want}")
-        ok = ok and got == want
+    predicted = theorem_findings(g_text, v_text)
+    solved = {d: delta_solver.solve(g, module, d).dimension for d in predicted}
     checks.append(
-        _check("two-summand assembly dimensions", ok, "solved/predicted " + ", ".join(details))
+        _check(
+            "two-summand assembly dimensions",
+            solved == predicted,
+            "solved/predicted " + ", ".join(f"{d}: {solved[d]}/{predicted[d]}" for d in predicted),
+        )
     )
 
     return VerifyReport(checks=tuple(checks))

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Algebras and modules are named by descriptors, parsed by the grammar in
-``lie_core`` that ``catalog.theorem_dimension`` reads too.  Rational
+``lie_core`` that ``catalog.theorem_findings`` reads too.  Rational
 arguments are written p/q (or just p); decimal notation is rejected.
 Output is byte deterministic for identical input.
 

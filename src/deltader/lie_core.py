@@ -29,7 +29,7 @@ is, and rho (x) I exactly when rho is.
 The command line's descriptor grammar lives here too (README, "Command
 line"): ``parse_algebra_atoms`` and ``parse_module_terms`` check a
 descriptor and return its atoms without building anything, which is all
-``catalog.theorem_dimension`` reads.  ``algebra_from_atoms`` and
+``catalog.theorem_findings`` reads.  ``algebra_from_atoms`` and
 ``module_from_terms`` compile atoms into an ``--input`` file's data, then
 build and check each object once; ``parse_*_descriptor`` parse and build.
 """

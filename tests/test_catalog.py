@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltader import catalog, cli, delta_solver
 from deltader.catalog import (
@@ -11,10 +13,11 @@ from deltader.catalog import (
     identity_derivation,
     span_equal,
     theorem_dimension,
+    theorem_findings,
     v2_map_to_adjoint,
     verify_all,
 )
-from deltader.delta_solver import ShapeMismatch, is_delta_derivation, solve
+from deltader.delta_solver import ShapeMismatch, is_delta_derivation, scan, solve
 from deltader.lie_core import (
     ParseError,
     SemanticError,
@@ -219,10 +222,82 @@ class TestTheoremDimension:
         for algebra, module in cases:
             g, parts = parse_algebra_descriptor(algebra)
             v, _ = parse_module_descriptor(module, g, parts)
+            findings = theorem_findings(algebra, module)
             for d in deltas:
                 want = theorem_dimension(algebra, module, d)
+                assert want == findings.get(d, 0)
                 got = solve(g, v, d).dimension
                 assert got == want, (algebra, module, d, got, want)
+
+
+def _scanned(algebra, module):
+    g, parts = parse_algebra_descriptor(algebra)
+    return scan(g, parse_module_descriptor(module, g, parts)[0])
+
+
+@st.composite
+def split_inputs(draw):
+    """Descriptors of sl2/sl3 sums with a module whose terms are each nontrivial
+    on one summand at most, as ``theorem_findings`` reads them."""
+    summands = draw(st.lists(st.sampled_from(["sl2", "sl3"]), min_size=1, max_size=2))
+    trivial = st.sampled_from([f"trivial({d})" for d in range(3)])
+    irreducible = {
+        "sl2": st.sampled_from([f"V({n})" for n in range(7)] + ["adjoint"]),
+        "sl3": st.sampled_from(["natural", "adjoint"]),
+    }
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        if len(summands) > 1 and draw(st.booleans()):  # one atom of the whole algebra
+            terms.append(draw(st.sampled_from(["adjoint", "trivial(1)", "trivial(2)"])))
+            continue
+        carrier = draw(st.integers(0, len(summands)))  # len(summands): trivial everywhere
+        factors = [draw(irreducible[s] if i == carrier else trivial)
+                   for i, s in enumerate(summands)]
+        terms.append(" (x) ".join(factors))
+    return " o+ ".join(summands), " o+ ".join(terms)
+
+
+class TestTheoremFindings:
+    PAIRS = [("sl2", f"V({n})") for n in range(9)] + [
+        ("sl2", "adjoint"),
+        ("sl2", "V(1) o+ V(3)"),
+        ("sl2", "V(2) o+ adjoint"),
+        ("sl2", "trivial(2) o+ V(4)"),
+        ("sl3", "natural"),
+        ("sl4", "natural"),
+        ("sl5", "natural"),
+        ("sl3", "adjoint"),
+        ("sl4", "adjoint"),
+        ("sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)"),
+        ("sl2 o+ sl2", "adjoint o+ trivial(1)"),
+        ("sl2 o+ sl3", "V(3) (x) trivial(1) o+ V(0) (x) natural"),
+        ("sl3 o+ sl2", "adjoint (x) V(0) o+ trivial(2) (x) V(2)"),
+    ]
+
+    @pytest.mark.parametrize("algebra, module", PAIRS)
+    def test_agrees_with_scan(self, algebra, module):
+        report = _scanned(algebra, module)
+        assert report.findings == theorem_findings(algebra, module)
+        # the spurious residue that a rational-only scan cannot yet rule out
+        residue = ((1, 1, 1),) if (algebra, module) == ("sl4", "adjoint") else ()
+        assert report.nonrational_factors == residue
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(split_inputs())
+    def test_agrees_with_scan_on_drawn_inputs(self, descriptors):
+        report = _scanned(*descriptors)
+        assert report.findings == theorem_findings(*descriptors)
+        assert report.nonrational_factors == ()
+
+    def test_lists_only_nonzero_values_in_ascending_order(self):
+        findings = theorem_findings("sl2 o+ sl2", "V(1) (x) V(0) o+ V(0) (x) V(2)")
+        assert findings == {F(-2): 4, F(-1): 5, F(1, 2): 1, F(1): 5}
+        assert list(findings) == sorted(findings)
+        assert theorem_findings("sl2", "V(0) o+ trivial(2)") == {}
+        # no copies of V(3): its values -2/3 and 2/5 drop out
+        assert theorem_findings("sl2 o+ sl3", "V(3) (x) trivial(0) o+ adjoint") == {
+            F(-1): 5, F(1, 2): 2, F(1): 11
+        }
 
 
 class TestVerifyAll:
@@ -278,6 +353,22 @@ class TestVerifyAll:
         assert cli.main(["verify", "--max-n", "3"]) == 1
         assert "1 failure(s)" in capsys.readouterr().out
 
+    def test_a_wrong_theorem_fails_its_own_row_alone(self, monkeypatch, capsys):
+        # every scan row reads theorem_findings: a miscount must fail that row
+        real = theorem_findings
+
+        def miscounted(algebra, module):
+            findings = real(algebra, module)
+            if (algebra, module) == ("sl3", "natural"):
+                findings[F(1)] += 1
+            return findings
+
+        monkeypatch.setattr(catalog, "theorem_findings", miscounted)
+        report = verify_all(2)
+        assert [c.name for c in report.checks if c.status == "fail"] == ["sl3 natural scan"]
+        assert cli.main(["verify", "--max-n", "2"]) == 1
+        assert "1 failure(s)" in capsys.readouterr().out
+
     def test_canonical_bases_are_compared_by_equality(self, monkeypatch):
         # a solver basis scaled by 2 has the same span but is no longer
         # canonical: the rows comparing two canonical bases must fail, the
@@ -292,7 +383,7 @@ class TestVerifyAll:
         monkeypatch.setattr(delta_solver, "solve", doubled)
         report = verify_all(2)
         assert [c.name for c in report.checks if c.status == "fail"] == [
-            "sl2 adjoint scan and spans",
+            "sl2 adjoint d=1/2 identity line",
             "sl3 adjoint d=1/2 identity line",
             "sl3 adjoint d=1 inner derivations",
             "sl3 natural d=1 inner derivations",

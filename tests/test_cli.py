@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deltader
 from deltader import delta_solver
@@ -652,6 +657,98 @@ class TestVerifyCommand:
         assert constructions == ([3, 8, 6], [2, 3, 4, 5, 6, 7, 8, 9, 3, 3, 8, 5])
 
 
+# descriptor tokens: every kind of the grammar, ranks up to 4 and V(n) up to 6, and junk
+ALGEBRA_ATOMS = ["sl2", "sl3", "sl4", "sl0", "sl1", "sl02", "sl٣"]
+MODULE_ATOMS = [f"V({n})" for n in range(7)] + [
+    "V(٢)", "natural", "adjoint", "trivial(0)", "trivial(1)", "trivial(2)", "trivial(٢)"
+]
+OPERATORS = ["o+", "⊕", "oplus", "(x)", "⊗", "otimes"]
+TOKENS = ALGEBRA_ATOMS + MODULE_ATOMS + OPERATORS + [
+    "sl", "V()", "V(-1)", "trivial", "o", "x", "(", ")", "?", "-", "é", "\n", ""
+]
+
+
+@st.composite
+def descriptors(draw, atoms):
+    """Up to three atoms joined by operators, then up to two tokens put in or taken out."""
+    words = draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
+    tokens = words[:1]
+    for word in words[1:]:
+        tokens += [draw(st.sampled_from(OPERATORS)), word]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        if draw(st.booleans()):
+            tokens.insert(at, draw(st.sampled_from(TOKENS)))
+        else:
+            del tokens[at:at + 1]
+    return " ".join(tokens)
+
+
+# replacements for one value of an --input file, DELETE removing it instead
+DELETE = object()
+JUNK = [None, True, False, 1.5, "1/0", "٢", "x", -1, 10**6, [], {}, [[["1"]]], DELETE]
+
+
+def _paths(value, prefix=()):
+    """The path of every key and list item inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield prefix + (key,)
+        if isinstance(item, (dict, list)):
+            yield from _paths(item, prefix + (key,))
+
+
+def _holds(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+def _exit_cleanly(argv):
+    """Run the command line: it must exit 0, or 2 with one error line, and never raise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(descriptors(ALGEBRA_ATOMS), descriptors(MODULE_ATOMS))
+    def test_descriptors(self, algebra, module):
+        _exit_cleanly(["describe", f"--algebra={algebra}", f"--module={module}"])
+
+    VALID = {  # describe --algebra sl2 --module "V(1)" --format json
+        "algebra": {"dim": 3, "brackets": [[0, 1, 0, "2"], [0, 2, 1, "-1"], [1, 2, 2, "2"]],
+                    "labels": ["e-", "h", "e+"], "summands": [[0, 3]]},
+        "module": {"dim": 2, "weights": [0, 1], "action": [
+            [["0", "0"], ["1", "0"]], [["1", "0"], ["0", "-1"]], [["0", "1"], ["0", "0"]]]},
+    }
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(list(_paths(VALID))), st.sampled_from(JUNK)),
+                    min_size=1, max_size=3))
+    def test_input_files(self, tmp_path_factory, mutations):
+        data = copy.deepcopy(self.VALID)
+        for path, junk in mutations:
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key] if _holds(parent, key) else None
+            if not _holds(parent, path[-1]):
+                continue  # an earlier mutation removed the path
+            if junk is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(junk)  # JUNK's lists are shared
+        path = tmp_path_factory.getbasetemp() / "fuzzed-input.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        _exit_cleanly(["describe", "--input", str(path)])
+
+
 class TestGoldenOutputs:
     """The stdout of large solves, pinned byte for byte by its sha256."""
 
@@ -675,7 +772,7 @@ class TestGoldenOutputs:
         [
             # odd n carries the 52-bit pivot constants
             (("verify", "--max-n", "8", "--format", "json"),
-             "39c832cb046069e3904a1df3dd93f1e1785329fcb8afb923fc030c5471be04c8"),
+             "3913cafad79c31390b1f597c3fde48674e306d7c62f6b5c4824dcd4ae9206f69"),
             (("scan", "--algebra", "sl2", "--module", "V(7)"),
              "bdae6b7d9e1859bd02a282df4287e42ee77d1d35d24c33d84b91de526ed240a8"),
             # graded solves: the table form prints the "(weight w)" tags
