@@ -164,7 +164,7 @@ def span_equal(b1, b2) -> bool:
     dim, dim_v = shapes.pop() if shapes else (0, 0)
 
     def kernel(maps):
-        rows = [{c: x for c, x in enumerate(delta_solver.map_to_vector(D)) if x} for D in maps]
+        rows = [{c: x for c, x in enumerate(x for row in D for x in row) if x} for D in maps]
         return nullspace_bareiss(rows, dim * dim_v)
 
     return kernel(b1) == kernel(b2)

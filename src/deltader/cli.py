@@ -394,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:  # lie_core's input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except delta_solver.VerificationFailure as exc:
+    except (delta_solver.VerificationFailure, ArithmeticError) as exc:  # e.g. an inexact division
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 3
 

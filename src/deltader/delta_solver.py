@@ -15,10 +15,10 @@ lexicographic order, and the unknown column index encoding
 for the m-th coordinate of D(e_a).  Both the pair ordering and the column
 encoding are fixed; all golden outputs depend on them.
 
-Kernels at fixed rational d are computed by fraction-free elimination and
-returned in reduced echelon form (pivot entries 1), so equal subspaces have
-byte-equal bases.  Every returned basis element is re-verified against the
-defining equation by code independent of the elimination.
+Kernels at fixed rational d come from fraction-free elimination as primitive
+integer rows, each re-verified as it is against the defining equation by code
+independent of the elimination; ``vector_to_map`` then divides out its first
+entry, so bases are reduced echelon and byte-equal for equal subspaces.
 """
 
 from __future__ import annotations
@@ -121,12 +121,11 @@ class ScanReport(NamedTuple):
     generic_rank: int
 
 
-def map_to_vector(D: DerivationMap) -> list[Fraction]:
-    return [x for row in D for x in row]
-
-
-def vector_to_map(v, dim: int, dim_v: int) -> DerivationMap:
-    return tuple(tuple(v[a * dim_v + m] for m in range(dim_v)) for a in range(dim))
+def vector_to_map(v: dict, dim: int, dim_v: int) -> DerivationMap:
+    """The map of a nonzero sparse row, divided by the entry at its first column."""
+    lead, zero = v[min(v)], Fraction(0)
+    return tuple(tuple(Fraction(v[c], lead) if c in v else zero for c in range(a, a + dim_v))
+                 for a in range(0, dim * dim_v, dim_v))
 
 
 def assemble_system(L: LieAlgebra, V: Representation) -> DerivationSystem:
@@ -161,26 +160,27 @@ def assemble_system(L: LieAlgebra, V: Representation) -> DerivationSystem:
     )
 
 
-def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[bool, tuple | None]:
+def is_delta_derivation(v, L: LieAlgebra, V: Representation, delta) -> tuple[bool, tuple | None]:
     """Check the defining equation on all basis pairs, by direct evaluation.
 
-    Returns (True, None), or (False, (i, j, residual)) for the first pair
-    where the equation fails.  Independent of the elimination code: besides
-    D it reads only ``L.brackets`` and ``V.columns``, the integer tables L and
-    V built once from their own ``Fraction`` data.  With vden the lcm of the
-    denominators of D's entries and d = p/q, every residual is evaluated
-    multiplied by q * V.den * L.den * vden, so it vanishes exactly when the
-    rational one does.
+    ``v`` is the map D as a sparse row ``{a * dim_v + m: D(e_a)_m}`` of
+    integers or rationals.  Returns (True, None), or (False, (i, j, residual))
+    for the first pair where the equation fails.  Independent of the
+    elimination: besides v it reads only ``L.brackets`` and ``V.columns``, the
+    integer tables L and V built once.  With vden the lcm of the denominators
+    of v's entries and d = p/q, every residual is evaluated multiplied by
+    q * V.den * L.den * vden, so it vanishes exactly when the rational one does.
     """
     delta = Fraction(delta)
     p, q = delta.numerator, delta.denominator
     dim, dim_v = L.dim, V.dim_v
-    if len(D) != dim or any(len(row) != dim_v for row in D):
+    if any(not 0 <= c < dim * dim_v for c in v):
         raise ShapeMismatch(f"map must be {dim} x {dim_v}")
-    vden = lcm(*(x.denominator for row in D for x in row))
-    images = [
-        [(m, vden * x.numerator // x.denominator) for m, x in enumerate(row) if x] for row in D
-    ]
+    vden = lcm(*(x.denominator for x in v.values()))
+    images = [[] for _ in range(dim)]
+    for c, x in v.items():
+        a, m = divmod(c, dim_v)
+        images[a].append((m, vden * x.numerator // x.denominator))
     bracket_images = [[(m, q * V.den * x) for m, x in row] for row in images]
     action_images = [[(m, p * L.den * x) for m, x in row] for row in images]
     for i in range(dim):
@@ -202,13 +202,13 @@ def is_delta_derivation(D, L: LieAlgebra, V: Representation, delta) -> tuple[boo
 
 
 def _space_from_vectors(L: LieAlgebra, V: Representation, delta, vectors) -> DerivationSpace:
-    maps = tuple(vector_to_map(v, L.dim, V.dim_v) for v in vectors)
-    for D in maps:
-        ok, witness = is_delta_derivation(D, L, V, delta)
+    for v in vectors:
+        ok, witness = is_delta_derivation(v, L, V, delta)
         if not ok:
             raise VerificationFailure(
                 f"kernel element fails the defining equation at pair {witness[:2]}"
             )
+    maps = tuple(vector_to_map(v, L.dim, V.dim_v) for v in vectors)
     return DerivationSpace(delta=Fraction(delta), basis=maps)
 
 
@@ -319,8 +319,7 @@ def _dimension_at(system: DerivationSystem, nullity: int, blocks, delta: Fractio
     Every other block keeps its generic rank.  Each block handed in is
     specialized (its rows only, mapped to block-local columns) and
     eliminated, its kernel replaces its generic cols - rank, and every
-    kernel vector found is embedded and re-checked against the defining
-    equation.
+    kernel row found is re-checked, its columns renamed to the system's.
     """
     dim = nullity
     for rows, cols, rank in blocks:
@@ -329,13 +328,8 @@ def _dimension_at(system: DerivationSystem, nullity: int, blocks, delta: Fractio
             [{local[c]: x for c, x in row.items()} for row in system.specialize(delta, rows)],
             len(cols),
         )
-        embedded = []
-        for v in vectors:
-            full = [Fraction(0)] * system.cols
-            for c, x in zip(cols, v):
-                full[c] = x
-            embedded.append(full)
-        _space_from_vectors(system.algebra, system.module, delta, embedded)
+        renamed = [{cols[t]: x for t, x in v.items()} for v in vectors]
+        _space_from_vectors(system.algebra, system.module, delta, renamed)
         dim += len(vectors) - (len(cols) - rank)
     return dim
 

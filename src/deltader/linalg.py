@@ -4,12 +4,13 @@
 systems (a few percent nonzero) and for every span question.  It takes
 sparse rows (``{column: entry}``), scales each to a primitive integer row
 and eliminates fraction-free on those rows only: no Fraction arithmetic, no
-dense matrix.  It returns the canonical basis of the kernel: its reduced row
-echelon form under the ambient coordinate order, with pivot entries 1.  A
-subspace is the kernel of its own kernel, so ``rref`` gets the canonical
-basis of a span from two of its calls, and two spans are equal exactly when
-their kernels are.  A dense Gauss-Jordan elimination on Fractions is kept in
-``tests/oracle.py`` as the independent oracle it is tested against.
+dense matrix.  It returns the canonical basis of the kernel, its reduced row
+echelon form under the ambient coordinate order, as primitive integer rows
+(``delta_solver.vector_to_map`` divides out the pivot).  A subspace is the
+kernel of its own kernel, so ``rref`` gets the canonical basis of a span
+from two of its calls, and two spans are equal exactly when their kernels
+are.  ``tests/oracle.py`` keeps a dense Gauss-Jordan elimination on
+Fractions as the independent oracle it is tested against.
 
 ``pencil_eliminate`` runs Bareiss elimination over ZZ[d] on one block of
 the pencil A + d*B, given as the system's own sparse integer rows (a map of
@@ -55,7 +56,7 @@ def _primitive(row: SparseRow) -> dict[int, int]:
     return out
 
 
-def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[dict[int, int], ...]:
     """Kernel basis via sparse integer fraction-free elimination.
 
     Rows (``{column: rational}``) are scaled to primitive integer rows.
@@ -63,7 +64,8 @@ def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction
     from the shortest row holding it, and keeps every row primitive.  A pivot
     row then holds only its pivot and free columns left of it, so the kernel
     vector of free column f (e_f minus the f-entries over the pivots) has
-    leading entry f and zeros at the other free columns: the canonical basis.
+    leading entry f and zeros at the other free columns: the canonical basis,
+    as primitive integer rows ``{column: int}`` positive at f, in ascending f.
     """
     work = [r for r in map(_primitive, rows) if r]
     holders: dict[int, set[int]] = {}  # column -> rows with a nonzero there
@@ -101,25 +103,28 @@ def nullspace_bareiss(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction
                     del row[k]
                     holders[k].discard(u)
             _divide_content(row)
-    basis = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in pivot_row}
-    for f, v in basis.items():
-        v[f] = Fraction(1)
+    # v = v[f] * (e_f - sum of row[f] / row[p] * e_p), scaled only as far as it must be
+    kernel = {f: {f: 1} for f in range(ncols) if f not in pivot_row}
     for p, t in pivot_row.items():
         row = work[t]
         for f, x in row.items():
             if f != p:
-                basis[f][p] = Fraction(-x, row[p])
-    return tuple(map(tuple, basis.values()))
+                v = kernel[f]
+                k = abs(row[p]) // gcd(v[f] * x, row[p])
+                if k != 1:
+                    for c in v:
+                        v[c] *= k
+                v[p] = -v[f] * x // row[p]
+    return tuple(kernel.values())
 
 
-def rref(rows: list[SparseRow], ncols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The nonzero rows of the reduced row echelon form: the canonical basis of the span.
+def rref(rows: list[SparseRow], ncols: int) -> tuple[dict[int, int], ...]:
+    """The canonical basis of the span: its reduced row echelon rows, scaled to primitive integers.
 
     A subspace is the kernel of its own kernel, and ``nullspace_bareiss``
     returns the canonical basis of a kernel, so two of its calls give it.
     """
-    kernel = nullspace_bareiss(rows, ncols)
-    return nullspace_bareiss([{c: x for c, x in enumerate(v) if x} for v in kernel], ncols)
+    return nullspace_bareiss(list(nullspace_bareiss(rows, ncols)), ncols)
 
 
 def _unpack(v: int, k: int) -> Poly:

@@ -41,6 +41,18 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def as_row(D):
+    """A map (dim rows of dim_v coordinates) as the sparse row {a * dim_v + m: D[a][m]}
+    that ``is_delta_derivation`` and ``nullspace_bareiss`` read."""
+    return {c: x for c, x in enumerate(x for row in D for x in row) if x}
+
+
+def canonical(v, ncols):
+    """A nonzero sparse row divided by the entry at its first column, as a dense tuple."""
+    lead = v[min(v)]
+    return tuple(Fraction(v.get(c, 0), lead) for c in range(ncols))
+
+
 @pytest.fixture(scope="session")
 def probe_json():
     """The probe below as ``--input`` JSON, with n in place of rho(x)'s entry 2."""

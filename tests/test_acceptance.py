@@ -26,11 +26,11 @@ from deltader.delta_solver import (
     inner_derivations,
     is_delta_derivation,
     kernel_at,
-    map_to_vector,
     scan,
     solve,
 )
 from deltader.linalg import nullspace_bareiss
+from conftest import as_row, canonical
 from oracle import invariants, nullspace_gauss, spans_equal
 
 F = Fraction
@@ -52,7 +52,7 @@ def _report(criterion: str, ok: bool, elapsed: float, budget: float | None, deta
 
 
 def _span(maps):
-    return [list(map_to_vector(D)) for D in maps]
+    return [[x for row in D for x in row] for D in maps]
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +208,7 @@ def test_criterion_6a_residuals_vanish(suite):
         for d in (F(1), F(1, 2), F(-1)):
             space = solve(L, V, d)
             for D in space.basis:
-                good, witness = is_delta_derivation(D, L, V, d)
+                good, witness = is_delta_derivation(as_row(D), L, V, d)
                 if not good:
                     ok = False
                     detail = f"{name} at {d}: residual at pair {witness[:2]}"
@@ -288,7 +288,7 @@ def test_criterion_6e_elimination_routes_agree(suite):
             continue
         for d in (F(1), F(1, 2), F(-2, 3)):
             matrix = system.specialize(d, range(system.rows))
-            fast = nullspace_bareiss(matrix, system.cols)
+            fast = tuple(canonical(v, system.cols) for v in nullspace_bareiss(matrix, system.cols))
             dense = [[row.get(c, 0) for c in range(system.cols)] for row in matrix]
             slow = nullspace_gauss(dense, system.cols)
             if fast != slow:

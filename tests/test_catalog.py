@@ -24,6 +24,7 @@ from deltader.lie_core import (
     parse_algebra_descriptor,
     parse_module_descriptor,
 )
+from conftest import as_row
 
 F = Fraction
 
@@ -76,7 +77,7 @@ class TestExpectedBases:
             for case in cases:
                 fam = expected_family(n, case)
                 for D in fam.basis:
-                    ok, witness = is_delta_derivation(D, sl2, module, fam.delta)
+                    ok, witness = is_delta_derivation(as_row(D), sl2, module, fam.delta)
                     assert ok, (n, case, witness)
 
     def test_solver_reproduces_table_spans(self, sl2, v_modules):
@@ -344,7 +345,7 @@ class TestVerifyAll:
             return fam._replace(basis=fam.basis[:2] + (wrong,) + fam.basis[3:])
 
         wrong = perturbed(3, CASE_MINUS_TWO_OVER_N)
-        assert not is_delta_derivation(wrong.basis[2], sl2, v_modules[3], wrong.delta)[0]
+        assert not is_delta_derivation(as_row(wrong.basis[2]), sl2, v_modules[3], wrong.delta)[0]
         monkeypatch.setattr(catalog, "expected_family", perturbed)
         report = verify_all(3)
         assert [c.name for c in report.checks if c.status == "fail"] == [

@@ -249,6 +249,17 @@ class TestSolveCommand:
                       "equation at pair (0, 1)\n"
         assert "Traceback" not in err
 
+    def test_inexact_division_exits_three(self, capsys, monkeypatch):
+        # an exact division with a remainder is a broken invariant of the elimination
+        def inexact(rows, cols):
+            raise ArithmeticError("inexact polynomial division")
+
+        monkeypatch.setattr(delta_solver, "pencil_eliminate", inexact)
+        code, out, err = run_cli(capsys, "scan", "--algebra", "sl2", "--module", "V(2)")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal check failed: inexact polynomial division\n"
+
     def test_table_output(self, capsys):
         code, out, _ = run_cli(
             capsys,

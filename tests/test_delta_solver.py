@@ -19,7 +19,6 @@ from deltader.delta_solver import (
     inner_derivations,
     is_delta_derivation,
     kernel_at,
-    map_to_vector,
     scan,
     solve,
 )
@@ -34,6 +33,7 @@ from deltader.lie_core import (
     trivial_module,
 )
 from deltader.linalg import pencil_eliminate
+from conftest import as_row
 from oracle import (
     bracket,
     canonical_basis,
@@ -48,7 +48,7 @@ F = Fraction
 
 
 def span_of(maps):
-    return [list(map_to_vector(D)) for D in maps]
+    return [[x for row in D for x in row] for D in maps]
 
 
 class TestAssembly:
@@ -175,7 +175,7 @@ class TestSolve:
         for n, d in ((2, F(1)), (3, F(-2, 3)), (4, F(1, 3))):
             space = solve(sl2, v_modules[n], d)
             for D in space.basis:
-                ok, witness = is_delta_derivation(D, sl2, v_modules[n], d)
+                ok, witness = is_delta_derivation(as_row(D), sl2, v_modules[n], d)
                 assert ok and witness is None
 
 
@@ -480,26 +480,30 @@ class TestInnerDerivations:
 class TestIsDeltaDerivation:
     def test_zero_map(self, sl2, v_modules):
         zero = tuple(tuple(F(0) for _ in range(2)) for _ in range(3))
-        ok, witness = is_delta_derivation(zero, sl2, v_modules[1], F(7))
+        assert as_row(zero) == {}
+        ok, witness = is_delta_derivation({}, sl2, v_modules[1], F(7))
         assert ok and witness is None
+        assert is_delta_derivation({0: F(0), 5: 0}, sl2, v_modules[1], F(7)) == (True, None)
 
     def test_inner_map_on_v1(self, sl2, v_modules):
         # x -> x . v0:  e- -> v1, h -> v0, e+ -> 0
         D = ((F(0), F(1)), (F(1), F(0)), (F(0), F(0)))
-        ok, _ = is_delta_derivation(D, sl2, v_modules[1], F(1))
+        ok, _ = is_delta_derivation(as_row(D), sl2, v_modules[1], F(1))
         assert ok
 
     def test_identity_candidate_fails_at_minus_one(self, sl2, v_modules):
         D = ((F(0), F(0), F(1)), (F(0), F(1), F(0)), (F(-1), F(0), F(0)))
-        ok, witness = is_delta_derivation(D, sl2, v_modules[2], F(-1))
+        ok, witness = is_delta_derivation(as_row(D), sl2, v_modules[2], F(-1))
         assert not ok
         i, j, residual = witness
         assert (i, j) == (0, 1)
         assert any(residual)
 
     def test_shape_mismatch(self, sl2, v_modules):
-        with pytest.raises(ShapeMismatch):
-            is_delta_derivation(((F(0),),), sl2, v_modules[1], F(1))
+        # sl2 on V(1) has the 6 columns 0..5
+        for column in (6, -1):
+            with pytest.raises(ShapeMismatch):
+                is_delta_derivation({column: F(1)}, sl2, v_modules[1], F(1))
 
     def test_only_the_maps_denominators_are_cleared_per_call(self, monkeypatch, sl3, sl3_adjoint):
         # L and V built their integer tables when constructed; a call clears D's alone
@@ -512,7 +516,7 @@ class TestIsDeltaDerivation:
 
         monkeypatch.setattr(delta_solver, "lcm", counting)
         for D in basis:
-            assert is_delta_derivation(D, sl3, sl3_adjoint, F(1)) == (True, None)
+            assert is_delta_derivation(as_row(D), sl3, sl3_adjoint, F(1)) == (True, None)
         assert len(counted) == len(basis) == 8
 
     @settings(max_examples=150, deadline=None)
@@ -532,7 +536,21 @@ class TestIsDeltaDerivation:
         D[entry // 3][entry % 3] += bump
         at = d0 if d is None else d
         witness = delta_residual(D, L, V, at)
-        assert is_delta_derivation(D, L, V, at) == (witness is None, witness)
+        assert is_delta_derivation(as_row(D), L, V, at) == (witness is None, witness)
+
+    def test_integer_rows_are_checked_as_their_rational_multiples(self, rescaled_json):
+        # a row of integers is the map scaled by the lcm of its denominators: the
+        # verdict is the same and a residual is scaled by that lcm
+        L, V = inputs_from_json(rescaled_json)
+        for D in solve(L, V, F(1, 2)).basis:
+            row = as_row(D)
+            scale = lcm(*(x.denominator for x in row.values()))
+            integral = {c: int(x * scale) for c, x in row.items()}
+            assert is_delta_derivation(integral, L, V, F(1, 2)) == (True, None)
+            ok, (i, j, residual) = is_delta_derivation(integral, L, V, F(1))
+            assert not ok
+            assert is_delta_derivation(row, L, V, F(1)) == (
+                False, (i, j, tuple(x / scale for x in residual)))
 
 
 class TestReverification:
@@ -564,6 +582,26 @@ class TestReverification:
         report = scan(L, V)
         assert report.generic_rank == L.dim * V.dim_v
         assert len(calls) == sum(report.findings.values()) > 0
+
+    def test_scan_checks_block_rows_in_place(self, calls, monkeypatch):
+        # each row checked at a candidate has its columns inside one block recorded
+        # for that candidate: no row is padded to the system's length first
+        L, parts = parse_algebra_descriptor("sl4")
+        V, _ = parse_module_descriptor("adjoint", L, parts)
+        real = delta_solver._dimension_at
+        checked = []  # (row, the column sets of the candidate's blocks)
+
+        def dimension_at(system, nullity, blocks, delta):
+            start = len(calls)
+            dim = real(system, nullity, blocks, delta)
+            checked.extend((v, [set(cols) for _, cols, _ in blocks]) for v in calls[start:])
+            return dim
+
+        monkeypatch.setattr(delta_solver, "_dimension_at", dimension_at)
+        report = scan(L, V)
+        assert len(checked) == len(calls) == sum(report.findings.values()) == 16
+        for v, columns in checked:
+            assert v and any(v.keys() <= cols for cols in columns)
 
 
 class TestDegenerateInputs:

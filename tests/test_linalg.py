@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from deltader import linalg
 from deltader.exact_arith import Poly, pdivexact
 from deltader.linalg import nullspace_bareiss, pencil_eliminate
+from conftest import canonical
 from oracle import canonical_basis, nullspace_gauss, rref, spans_equal
 
 F = Fraction
@@ -29,6 +31,11 @@ def random_matrix(rng, rows, cols):
 def sparse(m):
     """Dense rows as the {column: nonzero entry} rows nullspace_bareiss takes."""
     return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def canonical_kernel(basis, ncols):
+    """The dense canonical tuples of a basis of nullspace_bareiss rows."""
+    return tuple(canonical(v, ncols) for v in basis)
 
 
 @st.composite
@@ -91,11 +98,11 @@ class TestCanonicalBasis:
 class TestNullspaceRoutes:
     def test_zero_matrix_gives_full_space(self):
         basis = nullspace_bareiss([{}], 3)
-        assert basis == tuple(tuple(row) for row in identity(3))
-        assert nullspace_gauss([[F(0)] * 3], 3) == basis
+        assert basis == ({0: 1}, {1: 1}, {2: 1})
+        assert nullspace_gauss([[F(0)] * 3], 3) == canonical_kernel(basis, 3)
 
     def test_no_rows_gives_full_space(self):
-        assert nullspace_bareiss([], 2) == ((F(1), F(0)), (F(0), F(1)))
+        assert nullspace_bareiss([], 2) == ({0: 1}, {1: 1})
 
     def test_full_rank_gives_empty_kernel(self):
         assert nullspace_bareiss(sparse(identity(4)), 4) == ()
@@ -104,8 +111,8 @@ class TestNullspaceRoutes:
         # x + y + z = 0, y - z = 0  ->  kernel spanned by (-2, 1, 1)
         m = [[F(1), F(1), F(1)], [F(0), F(1), F(-1)]]
         basis = nullspace_bareiss(sparse(m), 3)
-        assert basis == ((F(1), F(-1, 2), F(-1, 2)),)
-        assert nullspace_gauss(m, 3) == basis
+        assert basis == ({0: 2, 1: -1, 2: -1},)
+        assert nullspace_gauss(m, 3) == canonical_kernel(basis, 3) == ((F(1), F(-1, 2), F(-1, 2)),)
 
     def test_routes_agree_on_random_matrices(self):
         rng = random.Random(424242)
@@ -115,14 +122,40 @@ class TestNullspaceRoutes:
             m = random_matrix(rng, rows, cols)
             got = nullspace_bareiss(sparse(m), cols)
             want = nullspace_gauss(m, cols)
-            assert got == want
+            assert canonical_kernel(got, cols) == want
 
     @settings(max_examples=150, deadline=None)
-    @given(rational_matrices())
-    def test_sparse_route_matches_gauss_oracle(self, case):
+    @given(
+        case=rational_matrices(),
+        integral=st.booleans(),
+        empty=st.integers(0, 2),
+        untouched=st.integers(0, 3),
+    )
+    def test_sparse_route_matches_gauss_oracle(self, case, integral, empty, untouched):
+        # rows of Fractions or of ints (each scaled by the lcm of its denominators),
+        # with empty rows and, at the right, columns no row touches
         m, cols = case
-        assert nullspace_bareiss(sparse(m), cols) == nullspace_gauss(m, cols)
-        assert linalg.rref(sparse(m), cols) == canonical_basis(m)
+        rows = sparse(m) + [{}] * empty
+        if integral:
+            rows = [{c: int(x * lcm(*(y.denominator for y in r.values()))) for c, x in r.items()}
+                    for r in rows]
+        ncols = cols + untouched
+        dense = [row + [F(0)] * untouched for row in m]
+        # pivots are taken from the last column down: the free columns are those
+        # that are no pivot of the matrix with its columns reversed
+        _, pivots = rref([row[::-1] for row in dense])
+        free = set(range(ncols)) - {ncols - 1 - p for p in pivots}
+        got = nullspace_bareiss(rows, ncols)
+        assert len(got) == len(free)
+        for v in got:
+            lead = min(v)
+            assert all(type(x) is int and x for x in v.values())
+            assert v[lead] > 0 and gcd(*v.values()) == 1
+            assert v.keys() & free == {lead}
+        assert canonical_kernel(got, ncols) == nullspace_gauss(dense, ncols)
+        span = linalg.rref(rows, ncols)
+        assert all(gcd(*v.values()) == 1 and v[min(v)] > 0 for v in span)
+        assert canonical_kernel(span, ncols) == canonical_basis(dense)
 
     def test_integer_and_unscaled_rows_agree(self):
         # rows may hold ints or Fractions; scaling a row changes nothing
@@ -135,9 +168,7 @@ class TestNullspaceRoutes:
         for _ in range(30):
             m = random_matrix(rng, 5, 7)
             for v in nullspace_bareiss(sparse(m), 7):
-                assert all(
-                    sum(row[j] * v[j] for j in range(7)) == 0 for row in m
-                )
+                assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in m)
 
 
 def _ptrim(cs):
